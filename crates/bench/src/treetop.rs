@@ -5,9 +5,11 @@
 //! AES-CTR work, MAC verification and DRAM traffic from each path
 //! access, so encrypted throughput should rise roughly in proportion to
 //! the off-chip suffix that remains. `proram-bench treetop` writes the
-//! sweep as `BENCH_treetop.json` and enforces the optimization's floor:
-//! `treetop_levels = 4` must beat the uncached run by at least
-//! [`SPEEDUP_FLOOR`]× on the flat layout.
+//! sweep as `BENCH_treetop.json` and enforces two gates: a deterministic
+//! one ([`check_bytes_per_access`]: every point moves exactly its
+//! off-chip share of the uncached path's bytes, under either layout) and
+//! the optimization's wall-clock floor: `treetop_levels = 4` must beat
+//! the uncached run by at least [`SPEEDUP_FLOOR`]× on the flat layout.
 
 use crate::microbench::Throughput;
 use proram_mem::{AccessKind, BlockAddr};
@@ -110,8 +112,50 @@ pub fn run_kernel(treetop_levels: u32, layout: TreeLayout, ms: u64) -> SweepPoin
     }
 }
 
+/// The deterministic companion of [`SPEEDUP_FLOOR`]: every point's
+/// `bytes_per_access` must equal the uncached flat point's value scaled
+/// by `off_chip_levels / tree_levels` (10368 → 6912 at
+/// `treetop_levels = 4` on the 12-level sweep tree), and every
+/// subtree-packed point must move exactly the bytes of the flat point
+/// at the same treetop height.
+///
+/// # Panics
+///
+/// Panics if `points` lacks the uncached flat point or any point
+/// violates either equality.
+pub fn check_bytes_per_access(points: &[SweepPoint], tree_levels: u32) {
+    let flat = |t: u32| {
+        points
+            .iter()
+            .find(|p| p.treetop_levels == t && p.layout == "flat")
+            .map(|p| p.bytes_per_access)
+    };
+    let base = flat(0).expect("uncached flat point measured");
+    for p in points {
+        // Layout first, so a packing bug is reported as one rather than
+        // as a wrong proportion.
+        assert_eq!(
+            Some(p.bytes_per_access),
+            flat(p.treetop_levels),
+            "treetop_levels={} {}: layout changed the bytes moved",
+            p.treetop_levels,
+            p.layout
+        );
+        let off_chip = u64::from(tree_levels - p.treetop_levels);
+        assert_eq!(
+            p.bytes_per_access * u64::from(tree_levels),
+            base * off_chip,
+            "treetop_levels={} {}: {} bytes/access is not {base} x {off_chip}/{tree_levels}",
+            p.treetop_levels,
+            p.layout,
+            p.bytes_per_access
+        );
+    }
+}
+
 /// Measures every `treetop_levels` in [`SWEEP`] under both layouts
-/// (flat and the tallest valid subtree packing), then enforces
+/// (flat and the tallest valid subtree packing), checks the bytes each
+/// point moves ([`check_bytes_per_access`]), then enforces
 /// [`SPEEDUP_FLOOR`] on the flat `4 / 0` accesses-per-second ratio.
 pub fn measure(ms: u64) -> Vec<SweepPoint> {
     let levels = kernel_config(0, TreeLayout::Flat).tree_levels();
@@ -125,6 +169,7 @@ pub fn measure(ms: u64) -> Vec<SweepPoint> {
             ms,
         ));
     }
+    check_bytes_per_access(&points, levels);
     let flat_rate = |t: u32| {
         points
             .iter()
@@ -218,6 +263,52 @@ mod tests {
         assert!(
             cached.bytes_per_access < base.bytes_per_access,
             "treetop must shrink the off-chip path"
+        );
+    }
+
+    #[test]
+    fn every_point_moves_its_off_chip_share_of_the_path() {
+        let levels = kernel_config(0, TreeLayout::Flat).tree_levels();
+        let points: Vec<SweepPoint> = SWEEP
+            .iter()
+            .flat_map(|&t| {
+                let height = packed_height(levels, t);
+                [
+                    run_kernel(t, TreeLayout::Flat, 1),
+                    run_kernel(t, TreeLayout::SubtreePacked { height }, 1),
+                ]
+            })
+            .collect();
+        check_bytes_per_access(&points, levels);
+        let at = |t: u32| points.iter().find(|p| p.treetop_levels == t).unwrap();
+        assert_eq!(at(0).bytes_per_access, 10368);
+        assert_eq!(at(4).bytes_per_access, 6912);
+    }
+
+    #[test]
+    #[should_panic(expected = "layout changed the bytes moved")]
+    fn a_layout_that_moves_other_bytes_fails_the_gate() {
+        let point = |treetop_levels: u32, layout: &str, bytes_per_access: u64| SweepPoint {
+            treetop_levels,
+            layout: layout.to_string(),
+            bytes_per_access,
+            bytes_saved: 0,
+            throughput: Throughput {
+                units: 1,
+                bytes: 0,
+                allocations_avoided: 0,
+                secs: 1.0,
+            },
+        };
+        // Both points sit on the proportional line for their own
+        // height, but the packed one disagrees with the flat one.
+        check_bytes_per_access(
+            &[
+                point(0, "flat", 1200),
+                point(6, "flat", 600),
+                point(6, "subtree_packed(3)", 700),
+            ],
+            12,
         );
     }
 

@@ -40,54 +40,6 @@ impl PathOram {
             return Ok(());
         };
         let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-        if !recover && store.parallel_active() {
-            // Pooled path: per-bucket decrypt + slot verification fan
-            // across the crypto workers; the merge preserves path order,
-            // so the error surfaced (if any) matches the serial loop.
-            // Recovery stays serial — repairs mutate the image mid-walk.
-            // Treetop buckets are plaintext on-chip state: nothing to
-            // decrypt, so they never enter the batch.
-            self.verify_batch_indices.clear();
-            self.verify_batch_indices.extend(
-                self.tree
-                    .path_indices(leaf)
-                    .skip(skip)
-                    .map(|idx| self.layout.phys_of(idx)),
-            );
-            let before = if self.obs.is_enabled() {
-                store.pool_stats()
-            } else {
-                None
-            };
-            store.bucket_addrs_batch(&self.verify_batch_indices, &mut self.verify_batch_addrs)?;
-            if let Some(before) = before {
-                Self::emit_pool_batch(
-                    &self.obs,
-                    proram_obs::StageKind::PoolDecrypt,
-                    self.verify_batch_indices.len(),
-                    store.pool_workers(),
-                    before,
-                    store.pool_stats().unwrap_or_default(),
-                );
-            }
-            for (&phys, store_addrs) in self
-                .verify_batch_indices
-                .iter()
-                .zip(self.verify_batch_addrs.iter_mut())
-            {
-                let heap = self.layout.heap_of(phys);
-                self.verify_tree_addrs.clear();
-                self.verify_tree_addrs
-                    .extend(self.tree.bucket(heap).iter().map(|b| b.addr.0));
-                store_addrs.sort_unstable();
-                self.verify_tree_addrs.sort_unstable();
-                assert_eq!(
-                    *store_addrs, self.verify_tree_addrs,
-                    "encrypted image diverged at bucket {heap}"
-                );
-            }
-            return Ok(());
-        }
         for idx in self.tree.path_indices(leaf).skip(skip) {
             let phys = self.layout.phys_of(idx);
             self.verify_store_addrs.clear();

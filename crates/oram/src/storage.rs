@@ -38,8 +38,6 @@ use crate::fault::{FaultConfig, FaultyStore};
 use crate::journal::{TxnJournal, UndoEntry, EPOCH_DOMAIN};
 use crate::posmap::PosEntry;
 use proram_mem::{BlockAddr, FaultStats};
-use proram_par::WorkerPool;
-use std::sync::Arc;
 
 /// Authenticated slot header: `(addr, leaf, hit, kind, payload_len)`.
 type SlotHeader = (BlockAddr, Leaf, bool, u8, usize);
@@ -109,15 +107,6 @@ pub struct EncryptedStore {
     z: usize,
     payload_bytes: usize,
     num_buckets: usize,
-    /// Optional crypto worker pool. When attached (and the backing is
-    /// plain), path-batch writes and reads fan per-bucket seal/encrypt
-    /// and decrypt/verify work across its threads with an ordered merge,
-    /// keeping the image byte-identical to the serial path.
-    pool: Option<Arc<WorkerPool>>,
-    /// Recycled bucket-body buffers for the parallel batch paths.
-    body_scratch: Vec<Vec<u8>>,
-    /// Recycled per-bucket address vectors for the parallel read path.
-    addr_scratch: Vec<Vec<u64>>,
     /// Trusted epoch counter; the commit flip advances it after all home
     /// writes of a transaction landed.
     epoch: u64,
@@ -127,16 +116,12 @@ pub struct EncryptedStore {
     /// armed (`None` = journaling off; writes go straight home).
     journal: Option<TxnJournal>,
     /// Countdown arm for the store-level kill points (`MidJournal`,
-    /// `MidFlip`, `PooledEncrypt`).
+    /// `MidFlip`).
     crash: Option<CrashArm>,
     /// Once a kill point fired the store is "dead": every subsequent
     /// write is dropped until [`Self::recover_txn`] clears the state,
     /// exactly as if the process had exited mid-access.
     fired: Option<KillPoint>,
-    /// Test hook: make job `N` of the next pooled write batch panic
-    /// without arming the crash machinery (exercises the graceful serial
-    /// fallback rather than the crash protocol).
-    pool_panic_job: Option<usize>,
 }
 
 /// What [`EncryptedStore::recover_txn`] did with the open journal; the
@@ -157,34 +142,6 @@ pub(crate) struct StoreRecovery {
     pub entries: usize,
     /// Bucket images physically restored (0 on replay).
     pub restored: usize,
-}
-
-/// One bucket's worth of parallel write work: the caller has already
-/// assigned `nonce`/`version` (in path order, on its own thread) and
-/// serialized the slot fields into `body`; a worker seals the slot MACs
-/// and encrypts.
-struct SealJob {
-    index: usize,
-    nonce: u64,
-    version: u64,
-    body: Vec<u8>,
-    /// When set the job panics instead of sealing — either the
-    /// `PooledEncrypt` kill point (simulated process death inside the
-    /// crypto worker) or the pool-panic test hook.
-    boom: bool,
-}
-
-/// One bucket's worth of parallel read work: the caller authenticated
-/// the header and copied the ciphertext body out; a worker decrypts and
-/// address-verifies every slot. `bad_slot` reports the first slot that
-/// failed authentication.
-struct VerifyJob {
-    index: usize,
-    nonce: u64,
-    version: u64,
-    body: Vec<u8>,
-    addrs: Vec<u64>,
-    bad_slot: Option<usize>,
 }
 
 impl EncryptedStore {
@@ -211,44 +168,12 @@ impl EncryptedStore {
             z,
             payload_bytes,
             num_buckets,
-            pool: None,
-            body_scratch: Vec::new(),
-            addr_scratch: Vec::new(),
             epoch: 0,
             epoch_tag: mac.tag(&[EPOCH_DOMAIN, 0], &[]),
             journal: None,
             crash: None,
             fired: None,
-            pool_panic_job: None,
         }
-    }
-
-    /// Attaches a crypto worker pool; subsequent
-    /// [`EncryptedStore::write_buckets`] and
-    /// [`EncryptedStore::bucket_addrs_batch`] calls fan their per-bucket
-    /// crypto across it. The image stays byte-identical to the serial
-    /// path (see DESIGN.md section 14 for the determinism contract).
-    pub fn attach_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Whether batch calls actually execute in parallel: a pool with at
-    /// least one worker is attached and fault injection is off (the
-    /// injector's RNG draws and bookkeeping depend on strict per-bucket
-    /// read/write order, so a faulty backing always runs serially).
-    pub fn parallel_active(&self) -> bool {
-        self.pool.as_ref().is_some_and(|p| p.workers() > 0) && !self.faults_enabled()
-    }
-
-    /// The attached pool's cumulative dispatch counters, if any.
-    pub fn pool_stats(&self) -> Option<proram_par::PoolStats> {
-        self.pool.as_ref().map(|p| p.stats())
-    }
-
-    /// Worker threads the attached pool owns (0 without a pool; the
-    /// calling thread participates in batches on top of these).
-    pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.workers())
     }
 
     /// Swaps the plain byte backing for a seeded fault injector.
@@ -317,8 +242,8 @@ impl EncryptedStore {
     // ----- crash-consistent commit protocol (DESIGN.md section 15) -----
 
     /// Arms (or disarms) the store-level kill points. The controller owns
-    /// the pipeline-stage points; the store fires `MidJournal`, `MidFlip`
-    /// and `PooledEncrypt` itself because only it sees those crossings.
+    /// the pipeline-stage points; the store fires `MidJournal` and
+    /// `MidFlip` itself because only it sees those crossings.
     pub(crate) fn arm_crash(&mut self, arm: Option<CrashArm>) {
         self.crash = arm;
     }
@@ -343,13 +268,6 @@ impl EncryptedStore {
     /// machinery as slots and the epoch header).
     pub(crate) fn mac(&self) -> &Mac {
         &self.mac
-    }
-
-    /// Test hook: makes job `job` of the next pooled write batch panic on
-    /// its worker, exercising the pool's panic surface and the serial
-    /// fallback without arming crash injection.
-    pub fn inject_pool_panic(&mut self, job: usize) {
-        self.pool_panic_job = Some(job);
     }
 
     /// Opens a transaction: subsequent bucket writes journal a first-touch
@@ -504,13 +422,6 @@ impl EncryptedStore {
         self.next_nonce += 1;
         let version = self.versions[index] + 1;
         self.versions[index] = version;
-        self.write_bucket_at(index, bucket, nonce, version);
-    }
-
-    /// The encrypt-and-store body of [`EncryptedStore::write_bucket`],
-    /// with the nonce/version already assigned (also the serial-fallback
-    /// path when a pooled batch loses its workers to a panic).
-    fn write_bucket_at(&mut self, index: usize, bucket: &Bucket, nonce: u64, version: u64) {
         let bb = self.bucket_bytes();
         let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
         // Serialize and encrypt directly in the image — no staging buffer.
@@ -534,125 +445,6 @@ impl EncryptedStore {
         }
         cipher.encrypt(nonce, plain);
         self.backing.commit_write(index);
-    }
-
-    /// Serializes, encrypts and stores a whole path's buckets, exactly as
-    /// if [`EncryptedStore::write_bucket`] were called once per pair in
-    /// slice order — same nonce sequence, same version counters, same
-    /// bytes. With a pool attached ([`EncryptedStore::attach_pool`]) and
-    /// no fault injection, the expensive per-bucket work (slot MACs +
-    /// encryption) runs on the pool while this thread serializes fields
-    /// and commits results in bucket order, so the image is byte-identical
-    /// to the serial path at any thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any bucket exceeds `z` blocks or a payload exceeds the
-    /// payload area.
-    pub fn write_buckets(&mut self, buckets: &[(usize, &Bucket)]) {
-        if self.fired.is_some() {
-            return; // the "process" died; nothing reaches DRAM
-        }
-        if !self.parallel_active() || buckets.len() < 2 {
-            for &(index, bucket) in buckets {
-                self.write_bucket(index, bucket);
-            }
-            return;
-        }
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        let body_bytes = self.z * slot_bytes;
-        let payload_bytes = self.payload_bytes;
-        // Fork: journal first touches, assign nonces/versions and
-        // serialize slot fields in path order on this thread — the
-        // sequenced, cheap part — so workers receive pure, owned
-        // seal/encrypt jobs. Journaling and assignment both precede the
-        // dispatch so a crash anywhere in the batch (`MidJournal` here,
-        // `PooledEncrypt` in a worker) leaves every bucket of the batch
-        // covered by an undo entry, version bumps included.
-        let mut jobs: Vec<SealJob> = Vec::with_capacity(buckets.len());
-        let panic_job = self.pool_panic_job.take();
-        for (k, &(index, bucket)) in buckets.iter().enumerate() {
-            if !self.journal_record(index) {
-                // MidJournal fired mid-batch: abandon the whole batch.
-                for job in jobs {
-                    self.body_scratch.push(job.body);
-                }
-                return;
-            }
-            assert!(bucket.len() <= self.z, "bucket exceeds Z");
-            let nonce = self.next_nonce;
-            self.next_nonce += 1;
-            let version = self.versions[index] + 1;
-            self.versions[index] = version;
-            let boom = (self.journal.is_some() && self.cross(KillPoint::PooledEncrypt))
-                || panic_job == Some(k);
-            let mut body = self.body_scratch.pop().unwrap_or_default();
-            body.clear();
-            body.resize(body_bytes, 0);
-            for (i, block) in bucket.iter().enumerate() {
-                let slot = &mut body[i * slot_bytes..(i + 1) * slot_bytes];
-                Self::serialize_fields(block, slot, payload_bytes);
-            }
-            jobs.push(SealJob {
-                index,
-                nonce,
-                version,
-                body,
-                boom,
-            });
-        }
-        // Record the assignments before the pool consumes the jobs: on a
-        // non-crash worker panic the serial fallback recomputes each
-        // bucket under its original (nonce, version), keeping the image
-        // byte-identical to an all-clean run.
-        let assigned: Vec<(u64, u64)> = jobs.iter().map(|j| (j.nonce, j.version)).collect();
-        let (mac, cipher) = (self.mac, self.cipher);
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel_active implies pool"));
-        let sealed = match pool.try_run(jobs, move |mut job: SealJob| {
-            if job.boom {
-                panic!("injected panic in pooled seal job");
-            }
-            for i in 0..job.body.len() / slot_bytes {
-                let slot = &mut job.body[i * slot_bytes..(i + 1) * slot_bytes];
-                if slot[0] == 1 {
-                    Self::seal_slot(slot, &mac, job.index as u64, job.version);
-                }
-            }
-            cipher.encrypt(job.nonce, &mut job.body);
-            job
-        }) {
-            Ok(sealed) => sealed,
-            Err(_) if self.fired.is_some() => {
-                // The PooledEncrypt kill point: the worker "process" died
-                // before any commit (pooled commits happen after the
-                // join), so the batch simply never lands.
-                return;
-            }
-            Err(_) => {
-                // Graceful degradation: a real (uninjected-crash) worker
-                // panic consumed the jobs; recompute serially under the
-                // recorded assignments.
-                for (&(index, bucket), &(nonce, version)) in buckets.iter().zip(&assigned) {
-                    self.write_bucket_at(index, bucket, nonce, version);
-                }
-                return;
-            }
-        };
-        // Join: commit results in bucket order, recycling the buffers.
-        let bb = self.bucket_bytes();
-        for job in sealed {
-            let out = self.backing.begin_write(job.index, bb);
-            Self::write_header(
-                &mut out[..BUCKET_HEADER_BYTES],
-                &self.mac,
-                job.index as u64,
-                job.nonce,
-                job.version,
-            );
-            out[BUCKET_HEADER_BYTES..].copy_from_slice(&job.body);
-            self.backing.commit_write(job.index);
-            self.body_scratch.push(job.body);
-        }
     }
 
     /// Reads, decrypts, authenticates and deserializes bucket `index`.
@@ -686,44 +478,6 @@ impl EncryptedStore {
         Ok(blocks)
     }
 
-    /// Authenticates bucket `index`'s cleartext header against the trusted
-    /// version counter; returns the stored `(nonce, version)` on success.
-    /// Pure with respect to the store (no fault bookkeeping) so the
-    /// parallel read path can pre-authenticate a whole path.
-    fn check_header(&self, index: usize) -> Result<(u64, u64), OramError> {
-        let bb = self.bucket_bytes();
-        let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
-        let nonce = u64::from_le_bytes(raw[0..8].try_into().expect("nonce"));
-        let version = u64::from_le_bytes(raw[8..16].try_into().expect("version"));
-        let stored_tag = u64::from_le_bytes(raw[16..24].try_into().expect("header tag"));
-        if stored_tag != self.mac.tag(&[index as u64, nonce, version], &[]) {
-            return Err(OramError::Integrity {
-                bucket: index,
-                slot: None,
-            });
-        }
-        let expected = self.versions[index];
-        if version != expected {
-            // The header authenticates, so (nonce, version) was once valid
-            // for this bucket: an old version is a replayed stale image.
-            // (A version ahead of the trusted counter cannot be produced
-            // by replay; classify it as corruption defensively.)
-            return Err(if version < expected {
-                OramError::Rollback {
-                    bucket: index,
-                    stored_version: version,
-                    expected_version: expected,
-                }
-            } else {
-                OramError::Integrity {
-                    bucket: index,
-                    slot: None,
-                }
-            });
-        }
-        Ok((nonce, version))
-    }
-
     /// Runs the transient-read gate, authenticates bucket `index`'s header
     /// against the trusted version counter, and decrypts the body into the
     /// caller's reusable buffer. Returns the authenticated version.
@@ -736,15 +490,40 @@ impl EncryptedStore {
                 });
             }
         }
-        let (nonce, version) = match self.check_header(index) {
-            Ok(hv) => hv,
-            Err(err) => {
-                self.note_detected(index, &err);
-                return Err(err);
-            }
-        };
         let bb = self.bucket_bytes();
         let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
+        let nonce = u64::from_le_bytes(raw[0..8].try_into().expect("nonce"));
+        let version = u64::from_le_bytes(raw[8..16].try_into().expect("version"));
+        let stored_tag = u64::from_le_bytes(raw[16..24].try_into().expect("header tag"));
+        if stored_tag != self.mac.tag(&[index as u64, nonce, version], &[]) {
+            let err = OramError::Integrity {
+                bucket: index,
+                slot: None,
+            };
+            self.note_detected(index, &err);
+            return Err(err);
+        }
+        let expected = self.versions[index];
+        if version != expected {
+            // The header authenticates, so (nonce, version) was once valid
+            // for this bucket: an old version is a replayed stale image.
+            // (A version ahead of the trusted counter cannot be produced
+            // by replay; classify it as corruption defensively.)
+            let err = if version < expected {
+                OramError::Rollback {
+                    bucket: index,
+                    stored_version: version,
+                    expected_version: expected,
+                }
+            } else {
+                OramError::Integrity {
+                    bucket: index,
+                    slot: None,
+                }
+            };
+            self.note_detected(index, &err);
+            return Err(err);
+        }
         plain.clear();
         plain.extend_from_slice(&raw[BUCKET_HEADER_BYTES..]);
         if nonce != 0 {
@@ -803,138 +582,6 @@ impl EncryptedStore {
         Ok(())
     }
 
-    /// Batch analogue of [`EncryptedStore::bucket_addrs_into`] over a
-    /// whole path: fills `out` with one address vector per entry of
-    /// `indices` (same order). With a pool attached and fault injection
-    /// off, header authentication stays on this thread while per-bucket
-    /// decryption and slot verification fan across the workers; results
-    /// merge in path order, so the first error reported is the same one
-    /// the serial loop would hit. Vectors already in `out` are recycled.
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`EncryptedStore::try_read_bucket`]; on
-    /// error `out` holds the address vectors of the buckets preceding the
-    /// failing one.
-    pub fn bucket_addrs_batch(
-        &mut self,
-        indices: &[usize],
-        out: &mut Vec<Vec<u64>>,
-    ) -> Result<(), OramError> {
-        for mut v in out.drain(..) {
-            v.clear();
-            self.addr_scratch.push(v);
-        }
-        if !self.parallel_active() || indices.len() < 2 {
-            return self.bucket_addrs_batch_serial(indices, out);
-        }
-        // Fork: authenticate every header in path order first. A header
-        // failure here bails to the serial loop so the error reported is
-        // the first one *in path order* (a later bucket's slots might
-        // also be corrupt; the serial loop arbitrates).
-        let bb = self.bucket_bytes();
-        let mut jobs: Vec<VerifyJob> = Vec::with_capacity(indices.len());
-        for &index in indices {
-            let (nonce, version) = match self.check_header(index) {
-                Ok(hv) => hv,
-                Err(_) => {
-                    for job in jobs {
-                        self.body_scratch.push(job.body);
-                        self.addr_scratch.push(job.addrs);
-                    }
-                    return self.bucket_addrs_batch_serial(indices, out);
-                }
-            };
-            let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
-            let mut body = self.body_scratch.pop().unwrap_or_default();
-            body.clear();
-            body.extend_from_slice(&raw[BUCKET_HEADER_BYTES..]);
-            let mut addrs = self.addr_scratch.pop().unwrap_or_default();
-            addrs.clear();
-            jobs.push(VerifyJob {
-                index,
-                nonce,
-                version,
-                body,
-                addrs,
-                bad_slot: None,
-            });
-        }
-        let (mac, cipher) = (self.mac, self.cipher);
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        let z = self.z;
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel_active implies pool"));
-        let done = match pool.try_run(jobs, move |mut job: VerifyJob| {
-            if job.nonce != 0 {
-                cipher.decrypt(job.nonce, &mut job.body);
-            }
-            for i in 0..z {
-                let slot = &job.body[i * slot_bytes..(i + 1) * slot_bytes];
-                match Self::check_slot(slot, &mac, job.index as u64, job.version) {
-                    Ok(Some((addr, ..))) => job.addrs.push(addr.0),
-                    Ok(None) => {}
-                    Err(()) => {
-                        job.bad_slot = Some(i);
-                        break;
-                    }
-                }
-            }
-            job
-        }) {
-            Ok(done) => done,
-            // Graceful degradation: a worker panic consumed the jobs (and
-            // their scratch buffers); the read is side-effect-free, so
-            // just redo it serially.
-            Err(_) => return self.bucket_addrs_batch_serial(indices, out),
-        };
-        // Join: merge in path order; the first bad slot wins.
-        let mut first_err = None;
-        for job in done {
-            if first_err.is_none() {
-                if let Some(slot) = job.bad_slot {
-                    first_err = Some(OramError::Integrity {
-                        bucket: job.index,
-                        slot: Some(slot),
-                    });
-                    self.addr_scratch.push(job.addrs);
-                } else {
-                    out.push(job.addrs);
-                }
-            } else {
-                self.addr_scratch.push(job.addrs);
-            }
-            self.body_scratch.push(job.body);
-        }
-        match first_err {
-            Some(err) => Err(err),
-            None => Ok(()),
-        }
-    }
-
-    /// The serial body of [`EncryptedStore::bucket_addrs_batch`]: one
-    /// [`EncryptedStore::bucket_addrs_into`] call per bucket, in order.
-    fn bucket_addrs_batch_serial(
-        &mut self,
-        indices: &[usize],
-        out: &mut Vec<Vec<u64>>,
-    ) -> Result<(), OramError> {
-        let mut plain = self.body_scratch.pop().unwrap_or_default();
-        for &index in indices {
-            let mut addrs = self.addr_scratch.pop().unwrap_or_default();
-            addrs.clear();
-            match self.bucket_addrs_into(index, &mut plain, &mut addrs) {
-                Ok(()) => out.push(addrs),
-                Err(err) => {
-                    self.addr_scratch.push(addrs);
-                    self.body_scratch.push(plain);
-                    return Err(err);
-                }
-            }
-        }
-        self.body_scratch.push(plain);
-        Ok(())
-    }
-
     /// Verifies one bucket's header and slot authentication tags.
     ///
     /// # Errors
@@ -972,9 +619,7 @@ impl EncryptedStore {
 
     /// Writes a block's slot fields — valid flag, address, leaf, hit,
     /// payload kind/length and the payload bytes — leaving the tag field
-    /// zero. [`Self::seal_slot`] computes the tag afterwards; the split
-    /// lets the cheap field writes stay on the dispatching thread while
-    /// workers do the MAC work.
+    /// zero. [`Self::seal_slot`] computes the tag afterwards.
     fn serialize_fields(block: &Block, slot: &mut [u8], payload_bytes: usize) {
         let (head, body_area) = slot.split_at_mut(SLOT_HEADER_BYTES);
         head[0] = 1; // valid
@@ -1513,124 +1158,6 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    /// The same batch written through the serial loop and through a
-    /// pooled `write_buckets` must yield byte-identical images: same
-    /// nonce sequence, same versions, same ciphertext.
-    #[test]
-    fn write_buckets_is_byte_identical_to_serial_loop() {
-        for threads in [2usize, 4, 7] {
-            let mut serial = store();
-            let mut pooled = store();
-            pooled.attach_pool(Arc::new(WorkerPool::new(threads)));
-            assert!(pooled.parallel_active());
-            for round in 0..6u64 {
-                let batch: Vec<(usize, Bucket)> = (0..4)
-                    .map(|i| {
-                        let mut b = Bucket::new(3);
-                        for j in 0..=(i % 3) {
-                            b.push(data_block(round * 16 + i as u64 * 4 + j as u64, i as u8));
-                        }
-                        ((i + round as usize) % 8, b)
-                    })
-                    .collect();
-                let refs: Vec<(usize, &Bucket)> = batch.iter().map(|(idx, b)| (*idx, b)).collect();
-                for &(idx, b) in &refs {
-                    serial.write_bucket(idx, b);
-                }
-                pooled.write_buckets(&refs);
-            }
-            for idx in 0..8 {
-                assert_eq!(
-                    serial.ciphertext(idx),
-                    pooled.ciphertext(idx),
-                    "threads={threads} bucket={idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn bucket_addrs_batch_matches_per_bucket_reads() {
-        let mut s = store();
-        s.attach_pool(Arc::new(WorkerPool::new(4)));
-        let batch: Vec<(usize, Bucket)> = (0..8)
-            .map(|i| {
-                let mut b = Bucket::new(3);
-                b.push(data_block(i as u64 * 2, i as u8));
-                b.push(data_block(i as u64 * 2 + 1, i as u8));
-                (i, b)
-            })
-            .collect();
-        let refs: Vec<(usize, &Bucket)> = batch.iter().map(|(idx, b)| (*idx, b)).collect();
-        s.write_buckets(&refs);
-        let indices: Vec<usize> = (0..8).collect();
-        let mut out = Vec::new();
-        s.bucket_addrs_batch(&indices, &mut out).expect("authentic");
-        assert_eq!(out.len(), 8);
-        let mut plain = Vec::new();
-        for (i, addrs) in out.iter().enumerate() {
-            let mut expect = Vec::new();
-            s.bucket_addrs_into(i, &mut plain, &mut expect).unwrap();
-            assert_eq!(addrs, &expect, "bucket {i}");
-        }
-        // A second round recycles the previous vectors.
-        s.bucket_addrs_batch(&indices, &mut out).expect("authentic");
-        assert_eq!(out.len(), 8);
-    }
-
-    #[test]
-    fn bucket_addrs_batch_reports_first_error_in_path_order() {
-        let corrupt_and_read = |pool: bool, corrupt: &[usize]| {
-            let mut s = store();
-            if pool {
-                s.attach_pool(Arc::new(WorkerPool::new(4)));
-            }
-            for i in 0..8 {
-                let mut b = Bucket::new(3);
-                b.push(data_block(i as u64, 1));
-                s.write_bucket(i, &b);
-            }
-            for &idx in corrupt {
-                s.corrupt_byte(idx, BUCKET_HEADER_BYTES + 5, 0x20); // slot area
-            }
-            let mut out = Vec::new();
-            s.bucket_addrs_batch(&(0..8).collect::<Vec<_>>(), &mut out)
-        };
-        // Two corrupted buckets: the earlier one must be reported, with
-        // or without a pool.
-        let serial = corrupt_and_read(false, &[2, 5]);
-        let pooled = corrupt_and_read(true, &[2, 5]);
-        assert_eq!(serial, pooled);
-        assert!(matches!(
-            serial,
-            Err(OramError::Integrity { bucket: 2, .. })
-        ));
-        // Header corruption falls back to the serial arbitration.
-        let serial = corrupt_and_read(false, &[6]);
-        let pooled = corrupt_and_read(true, &[6]);
-        assert_eq!(serial, pooled);
-    }
-
-    #[test]
-    fn faulty_backing_disables_parallel_batches() {
-        let mut s = store();
-        s.attach_pool(Arc::new(WorkerPool::new(4)));
-        assert!(s.parallel_active());
-        s.enable_faults(FaultConfig::silent(7));
-        assert!(
-            !s.parallel_active(),
-            "fault injection must force the serial path"
-        );
-        // Batches still work, via the serial fallback.
-        let mut b = Bucket::new(3);
-        b.push(data_block(1, 0x33));
-        let b2 = b.clone();
-        s.write_buckets(&[(0, &b), (1, &b2)]);
-        let mut out = Vec::new();
-        s.bucket_addrs_batch(&[0, 1], &mut out).expect("authentic");
-        assert_eq!(out[0], vec![1]);
-    }
-
     #[test]
     #[should_panic(expected = "exceeds slot")]
     fn oversized_payload_panics() {
@@ -1736,67 +1263,5 @@ mod tests {
         assert_eq!(rec.entries, 1, "the undo entry itself is durable");
         s.verify_all().expect("rolled-back image authenticates");
         assert_eq!(s.try_read_bucket(6).unwrap()[0].addr, BlockAddr(40));
-    }
-
-    /// A genuine (non-injected-crash) worker panic must degrade to the
-    /// serial path and still produce the byte-identical image.
-    #[test]
-    fn pooled_panic_falls_back_to_byte_identical_serial_writes() {
-        for boom_job in [0usize, 2, 3] {
-            let mut serial = store();
-            let mut pooled = store();
-            pooled.attach_pool(Arc::new(WorkerPool::new(3)));
-            for round in 0..3u64 {
-                let batch: Vec<(usize, Bucket)> = (0..4)
-                    .map(|i| {
-                        (
-                            (i + round as usize) % 8,
-                            one_block_bucket(round * 8 + i as u64, i as u8),
-                        )
-                    })
-                    .collect();
-                let refs: Vec<(usize, &Bucket)> = batch.iter().map(|(idx, b)| (*idx, b)).collect();
-                for &(idx, b) in &refs {
-                    serial.write_bucket(idx, b);
-                }
-                if round == 1 {
-                    pooled.inject_pool_panic(boom_job);
-                }
-                pooled.write_buckets(&refs);
-            }
-            for idx in 0..8 {
-                assert_eq!(
-                    serial.ciphertext(idx),
-                    pooled.ciphertext(idx),
-                    "boom_job={boom_job} bucket={idx}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_encrypt_crash_abandons_the_batch_and_rolls_back() {
-        let mut s = store();
-        s.attach_pool(Arc::new(WorkerPool::new(2)));
-        s.write_bucket(0, &one_block_bucket(50, 0x50));
-        let before: Vec<Vec<u8>> = (0..8).map(|i| s.ciphertext(i).to_vec()).collect();
-        s.begin_txn(vec![0xA]);
-        s.arm_crash(Some(CrashArm::new(CrashConfig::at(
-            KillPoint::PooledEncrypt,
-            2,
-        ))));
-        let b0 = one_block_bucket(51, 0x51);
-        let b1 = one_block_bucket(52, 0x52);
-        let b2 = one_block_bucket(53, 0x53);
-        s.write_buckets(&[(0, &b0), (1, &b1), (2, &b2)]);
-        assert_eq!(s.crash_fired(), Some(KillPoint::PooledEncrypt));
-        for (i, img) in before.iter().enumerate() {
-            assert_eq!(s.ciphertext(i), &img[..], "no commit before join");
-        }
-        let rec = s.recover_txn().expect("open transaction");
-        assert!(!rec.replay);
-        assert_eq!(rec.entries, 3, "whole batch journaled before dispatch");
-        s.verify_all().expect("version counters rolled back");
-        assert_eq!(s.try_read_bucket(0).unwrap()[0].addr, BlockAddr(50));
     }
 }

@@ -5,8 +5,8 @@
 //! that run — stats counters, stash-occupancy histogram, physical access
 //! trace, stash peak — was captured on the seed implementation and is
 //! pinned here as constants. `hotpath_equivalence.rs` asserts the
-//! allocation-free hot path reproduces them; `parallel_determinism.rs`
-//! asserts the crypto worker pool reproduces them at every thread count.
+//! allocation-free hot path reproduces them; `treetop_equivalence.rs`
+//! asserts the treetop cache and the packed layout leave them intact.
 
 // Each integration-test binary compiles its own copy of this module and
 // uses a different subset of it.
@@ -122,9 +122,8 @@ pub fn replay_observed(cfg: OramConfig, obs: Obs) -> RunDigest {
     digest_state(&oram)
 }
 
-/// Digests every observable of a finished replay (for tests that drive
-/// the workload themselves, e.g. with mid-run injection).
-pub fn digest_state(oram: &PathOram) -> RunDigest {
+/// Digests every observable of a finished replay.
+fn digest_state(oram: &PathOram) -> RunDigest {
     let s = oram.oram_stats();
     let h = oram.stash().occupancy_histogram();
     let mut hist_hash = FNV_INIT;

@@ -148,3 +148,33 @@ fn fault_sweep_recovers_with_nonzero_treetop() {
         oram.audit_full();
     }
 }
+
+/// The golden run with `treetop_levels = 2` and every off-chip bucket
+/// authenticated on every read (`verify_image`) reproduces a pinned
+/// whole digest: the on-chip levels skip decryption without changing
+/// any observable but the byte accounting (6/8 of the uncached path).
+#[test]
+fn treetop_two_with_verified_image_matches_its_pinned_digest() {
+    let cfg = treetop_config(2, TreeLayout::Flat)
+        .to_builder()
+        .verify_image(true)
+        .build()
+        .expect("valid treetop configuration");
+    assert_eq!(
+        replay_cfg(cfg),
+        RunDigest {
+            logical: 2000,
+            data_paths: 2000,
+            posmap_paths: 2210,
+            background: 0,
+            bytes_moved: 29_099_520,
+            hist_hash: 0x7e34_7ba1_61c4_bef3,
+            hist_total: 4210,
+            trace_hash: 0xb5a0_c950_fe1e_8801,
+            trace_events: 4210,
+            trace_dropped: 0,
+            stash_peak: 19,
+            allocs_avoided: 4210,
+        }
+    );
+}

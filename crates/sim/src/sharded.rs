@@ -17,12 +17,10 @@
 use crate::config::SystemConfig;
 use proram_core::{SchemeConfig, SuperBlockOram};
 use proram_mem::{
-    AccessOutcome, BackendStats, BlockAddr, CacheProbe, Cycle, MemRequest, MemoryBackend, NoProbe,
+    AccessOutcome, BackendStats, BlockAddr, CacheProbe, Cycle, MemRequest, MemoryBackend,
 };
 use proram_obs::Obs;
 use proram_oram::{OramConfig, PathOram};
-use proram_par::WorkerPool;
-use std::sync::Arc;
 
 /// Translates a shard's local block addresses back to global ones before
 /// probing the LLC, so super-block detection inside a shard sees the
@@ -44,15 +42,6 @@ impl CacheProbe for ShardProbe<'_> {
 pub struct ShardedOram {
     shards: Vec<SuperBlockOram<PathOram>>,
     label: String,
-    /// Worker pool for [`ShardedOram::access_batch`]; `None` (the
-    /// default) steps shards serially on the calling thread.
-    pool: Option<Arc<WorkerPool>>,
-    /// Batches in which a shard worker panicked and the abandoned slice
-    /// was re-served serially (graceful degradation, never an abort).
-    batch_panics: u64,
-    /// Armed fault injection: the next *parallel* batch panics inside its
-    /// worker on reaching this original request index (taken once).
-    panic_at: Option<usize>,
 }
 
 impl std::fmt::Debug for ShardedOram {
@@ -62,23 +51,6 @@ impl std::fmt::Debug for ShardedOram {
             .field("label", &self.label)
             .finish_non_exhaustive()
     }
-}
-
-/// One shard's slice of a batch: the controller is *moved* onto a worker
-/// thread along with its requests and moved back at the merge barrier.
-struct ShardJob {
-    shard: usize,
-    ctrl: SuperBlockOram<PathOram>,
-    /// `(original request index, shard-local request)` in issue order.
-    reqs: Vec<(usize, MemRequest)>,
-    /// Outcomes, same order as `reqs` (filled by the worker).
-    outcomes: Vec<(usize, AccessOutcome)>,
-    /// Set when a request panicked on the worker: the remaining slice is
-    /// abandoned and re-served serially at the merge barrier. Catching
-    /// *inside* the job is what keeps the moved controller alive — a
-    /// panic that escaped the closure would consume the job, and the
-    /// shard's tree, stash and position map with it.
-    panicked: bool,
 }
 
 impl ShardedOram {
@@ -114,9 +86,6 @@ impl ShardedOram {
         ShardedOram {
             shards,
             label: format!("{}_sh{num_shards}", scheme.label()),
-            pool: None,
-            batch_panics: 0,
-            panic_at: None,
         }
     }
 
@@ -159,147 +128,6 @@ impl ShardedOram {
     /// A global address from a shard-local one.
     fn unroute(&self, shard: usize, local: BlockAddr) -> BlockAddr {
         BlockAddr(local.0 * self.shards.len() as u64 + shard as u64)
-    }
-
-    /// Attaches a worker pool; subsequent [`ShardedOram::access_batch`]
-    /// calls step shards on its threads. Results are identical to the
-    /// serial path at any thread count (see DESIGN.md section 14).
-    pub fn attach_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// Convenience: builds and attaches a pool sized for `threads`
-    /// cooperating threads (the caller included); `threads <= 1` detaches
-    /// instead, restoring the serial path.
-    pub fn set_worker_threads(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.pool = None;
-        } else {
-            self.pool = Some(Arc::new(WorkerPool::new(threads)));
-        }
-    }
-
-    /// Serves a batch of independent requests, all issued at `now`, and
-    /// returns one outcome per request (same order).
-    ///
-    /// Requests are partitioned by owning shard; with a pool attached
-    /// ([`ShardedOram::attach_worker_pool`]) each shard's controller is
-    /// *moved* onto a worker thread, steps its slice of the batch in issue
-    /// order, and is moved back at the merge barrier — the retire order
-    /// seen by the caller is the original request order regardless of
-    /// which worker finished first, so outcomes, per-shard statistics and
-    /// adversary traces are identical at any thread count.
-    ///
-    /// Shard controllers are `!Sync` while borrowed by the caller's LLC
-    /// probe, so batch accesses see no LLC ([`NoProbe`]): super-block
-    /// detection runs on access-pattern history alone. Single-request
-    /// traffic that wants LLC-aware prefetch decisions should keep using
-    /// [`MemoryBackend::access`].
-    pub fn access_batch(&mut self, now: Cycle, reqs: &[MemRequest]) -> Vec<AccessOutcome> {
-        let n = self.shards.len() as u64;
-        let parallel = self
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.workers() > 0 && reqs.len() >= 2);
-        if !parallel {
-            return reqs
-                .iter()
-                .map(|req| self.access(now, *req, &NoProbe))
-                .collect();
-        }
-        // Fork: partition requests by shard, preserving issue order
-        // within each shard, and move every controller into its job.
-        let mut per_shard: Vec<Vec<(usize, MemRequest)>> = Vec::new();
-        per_shard.resize_with(self.shards.len(), Vec::new);
-        for (i, req) in reqs.iter().enumerate() {
-            let (shard, local) = self.route(req.block);
-            per_shard[shard].push((
-                i,
-                MemRequest {
-                    block: local,
-                    ..*req
-                },
-            ));
-        }
-        let jobs: Vec<ShardJob> = std::mem::take(&mut self.shards)
-            .into_iter()
-            .zip(per_shard)
-            .enumerate()
-            .map(|(shard, (ctrl, reqs))| ShardJob {
-                shard,
-                ctrl,
-                reqs,
-                outcomes: Vec::new(),
-                panicked: false,
-            })
-            .collect();
-        let pool = Arc::clone(self.pool.as_ref().expect("parallel implies pool"));
-        let panic_at = self.panic_at.take();
-        let done = pool.run(jobs, move |mut job: ShardJob| {
-            job.outcomes.reserve(job.reqs.len());
-            for &(orig, req) in &job.reqs {
-                let boom = panic_at == Some(orig);
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    assert!(!boom, "injected shard worker panic");
-                    job.ctrl.access(now, req, &NoProbe)
-                }));
-                let Ok(mut outcome) = attempt else {
-                    // Keep the controller; its unserved requests fall
-                    // back to the caller thread at the merge barrier.
-                    job.panicked = true;
-                    break;
-                };
-                for fill in &mut outcome.fills {
-                    fill.block = BlockAddr(fill.block.0 * n + job.shard as u64);
-                }
-                job.outcomes.push((orig, outcome));
-            }
-            job
-        });
-        // Join: controllers return to their slots in shard order and
-        // outcomes merge back to original request positions.
-        let mut out: Vec<Option<AccessOutcome>> = reqs.iter().map(|_| None).collect();
-        let mut unserved: Vec<usize> = Vec::new();
-        for job in done {
-            debug_assert_eq!(job.shard, self.shards.len());
-            if job.panicked {
-                self.batch_panics += 1;
-                unserved.extend(
-                    job.reqs
-                        .iter()
-                        .skip(job.outcomes.len())
-                        .map(|&(orig, _)| orig),
-                );
-            }
-            self.shards.push(job.ctrl);
-            for (orig, outcome) in job.outcomes {
-                out[orig] = Some(outcome);
-            }
-        }
-        // Graceful degradation: requests a panicked shard abandoned are
-        // re-served serially through the normal single-request path, so
-        // the batch still returns one outcome per request and later
-        // batches keep working.
-        for orig in unserved {
-            out[orig] = Some(self.access(now, reqs[orig], &NoProbe));
-        }
-        out.into_iter()
-            .map(|o| o.expect("every request served by its shard"))
-            .collect()
-    }
-
-    /// Times a shard batch hit a worker panic and fell back to serial
-    /// service for the abandoned slice.
-    pub fn batch_panics(&self) -> u64 {
-        self.batch_panics
-    }
-
-    /// Arms deterministic worker-panic injection: the next parallel batch
-    /// panics inside the worker thread when it reaches the request at
-    /// original index `orig`, exercising the abandoned-slice serial
-    /// fallback without corrupting any controller.
-    pub fn inject_worker_panic(&mut self, orig: usize) {
-        self.panic_at = Some(orig);
     }
 }
 
@@ -444,71 +272,6 @@ mod tests {
             parallel * 2 < serial,
             "4 shards should overlap 4 requests: {parallel} vs serialized {serial}"
         );
-    }
-
-    #[test]
-    fn batch_results_identical_at_any_worker_thread_count() {
-        // The tentpole determinism contract at the shard level: moving
-        // controllers onto worker threads and merging at the barrier must
-        // be invisible — outcomes, aggregate statistics and every
-        // per-shard stat agree with the serial path exactly.
-        let reqs: Vec<MemRequest> = (0..48u64)
-            .map(|a| MemRequest::read(BlockAddr((a * 7) % 1024)))
-            .collect();
-        let run = |threads: usize| {
-            let mut s = sharded(4);
-            s.set_worker_threads(threads);
-            let batches: Vec<Vec<AccessOutcome>> =
-                reqs.chunks(16).map(|c| s.access_batch(0, c)).collect();
-            let per_shard: Vec<BackendStats> =
-                (0..s.num_shards()).map(|i| s.shard(i).stats()).collect();
-            (batches, s.stats(), per_shard)
-        };
-        let baseline = run(1);
-        for threads in [2, 4, 7] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn batch_fills_map_back_to_global_addresses() {
-        let mut s = sharded(4);
-        s.set_worker_threads(4);
-        let reqs: Vec<MemRequest> = (0..8u64).map(|a| MemRequest::read(BlockAddr(a))).collect();
-        let outcomes = s.access_batch(0, &reqs);
-        assert_eq!(outcomes.len(), 8);
-        for (req, o) in reqs.iter().zip(&outcomes) {
-            assert!(
-                o.fills.iter().any(|f| f.block == req.block),
-                "demand block {:?} missing from fills",
-                req.block
-            );
-        }
-        assert_eq!(s.stats().demand_accesses, 8);
-    }
-
-    #[test]
-    fn worker_panic_degrades_to_serial_and_batch_completes() {
-        let reqs: Vec<MemRequest> = (0..16u64).map(|a| MemRequest::read(BlockAddr(a))).collect();
-        let mut s = sharded(4);
-        s.set_worker_threads(4);
-        s.inject_worker_panic(5);
-        let outcomes = s.access_batch(0, &reqs);
-        assert_eq!(outcomes.len(), 16);
-        for (req, o) in reqs.iter().zip(&outcomes) {
-            assert!(
-                o.fills.iter().any(|f| f.block == req.block),
-                "demand block {:?} missing after panic fallback",
-                req.block
-            );
-        }
-        assert_eq!(s.batch_panics(), 1);
-        // The controllers and the pool both survive: the next batch is
-        // clean and the panic counter stays put.
-        let again = s.access_batch(0, &reqs);
-        assert_eq!(again.len(), 16);
-        assert_eq!(s.batch_panics(), 1);
-        assert_eq!(s.stats().demand_accesses, 32);
     }
 
     #[test]
