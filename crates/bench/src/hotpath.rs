@@ -3,7 +3,9 @@
 //! Two kernels drive a `PathOram` directly — no cache hierarchy, no
 //! workload model — so their throughput isolates the controller + path
 //! engine (`opaque`) and the same plus the encrypted byte-level image
-//! (`encrypted`). A cipher microbench times the widened keystream
+//! (`encrypted`), where every path read decrypts and authenticates its
+//! off-chip buckets and every write-back re-encrypts them. A cipher
+//! microbench times the widened keystream
 //! against its retained scalar reference
 //! ([`StreamCipher::apply_scalar_reference`]) in interleaved slices of
 //! the same run and asserts the widening still pays. `proram-bench

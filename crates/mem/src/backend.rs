@@ -73,7 +73,7 @@ pub struct AccessOutcome {
 ///
 /// Injection counters are ground truth recorded by the fault injector
 /// itself; detection/recovery counters are recorded by the controller's
-/// verification and repair paths. `undetected` counts injected corruptions
+/// verification and retry paths. `undetected` counts injected corruptions
 /// that survived a full authenticated read — the false negatives the
 /// fault-sweep experiment asserts to be zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -95,8 +95,9 @@ pub struct FaultStats {
     pub transient_retries: u64,
     /// Extra cycles spent in retry backoff.
     pub backoff_cycles: u64,
-    /// Faults survived: transient reads that succeeded on retry plus
-    /// corrupted/rolled-back buckets repaired from the trusted state.
+    /// Faults survived: transient reads that succeeded on retry, and
+    /// crashed super-block accesses recovered by the commit protocol. A
+    /// corrupted or rolled-back bucket is never repaired.
     pub recovered: u64,
     /// Typed errors that could not be recovered and were reported upward.
     pub unrecovered: u64,

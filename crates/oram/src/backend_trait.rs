@@ -25,10 +25,9 @@ use proram_obs::Obs;
 /// A tree-based ORAM offering the primitives super-block schemes need.
 ///
 /// The fallible methods return [`OramError`] for faults the backend
-/// detected but could not recover from (corruption or rollback with
-/// recovery disabled, exhausted transient retries, stash overflow past the
-/// hard capacity); backends with recovery enabled repair in place and
-/// return `Ok`.
+/// detected and fail-stopped on (corruption, rollback, exhausted
+/// transient retries, stash overflow past the hard capacity, injected
+/// crashes).
 pub trait OramBackend {
     /// The unified block-address-space layout.
     fn space(&self) -> &AddressSpace;
@@ -52,7 +51,7 @@ pub trait OramBackend {
     ///
     /// # Errors
     ///
-    /// Returns the detected [`OramError`] when recovery is disabled.
+    /// Returns the detected [`OramError`]; nothing reached the stash.
     fn read_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) -> Result<(), OramError>;
 
     /// Write phase of one access, paired with the preceding read.

@@ -79,9 +79,9 @@ impl Bucket {
         self.slots.iter()
     }
 
-    /// Mutably borrows the resident block with the given address.
-    pub fn block_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
-        self.slots.iter_mut().find(|b| b.addr == addr)
+    /// The resident blocks, in slot order.
+    pub(crate) fn as_slice(&self) -> &[Block] {
+        &self.slots
     }
 }
 

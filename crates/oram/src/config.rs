@@ -98,17 +98,13 @@ pub struct OramConfig {
     pub layout: crate::layout::TreeLayout,
     /// Timing model.
     pub timing: OramTiming,
-    /// Keep and verify real payload bytes and an encrypted DRAM image.
-    /// Functional/crypto tests and examples only — costs memory and time.
+    /// Keep real payload bytes in an encrypted DRAM image
+    /// ([`crate::EncryptedStore`]). The image is then the only copy of
+    /// every off-chip bucket: each path read decrypts and authenticates
+    /// them, each write-back encrypts them, and only the treetop stays
+    /// plaintext on chip. Off, the whole tree is a plaintext simulation
+    /// with opaque payloads — the mode of the paper experiments.
     pub store_payloads: bool,
-    /// With `store_payloads`, re-read and authenticate the encrypted image
-    /// on every path read and cross-check it against the logical tree.
-    /// Purely an internal consistency check — it draws no randomness and
-    /// changes no state, so results are identical either way. On by
-    /// default in [`OramConfig::small_for_tests`], off elsewhere: the
-    /// per-access decrypt-and-MAC of a full path roughly doubles hot-path
-    /// cost. Ignored without `store_payloads`.
-    pub verify_image: bool,
     /// Capacity of the adversary-trace recorder (0 = disabled).
     pub trace_capacity: usize,
     /// Initial super-block grouping: every aligned group of this many data
@@ -120,9 +116,11 @@ pub struct OramConfig {
     /// Seeded fault injection on the encrypted image (requires
     /// `store_payloads`). `None` disables the injector entirely; `Some`
     /// with all rates zero installs it silently — the injector draws from
-    /// its own RNG, so observable behavior is unchanged. Enabling faults
-    /// also enables per-path image verification (detection needs reads to
-    /// be authenticated) and typed-error recovery instead of panics.
+    /// its own RNG, so observable behavior is unchanged. A detected fault
+    /// fail-stops the access with a typed error whether or not an
+    /// injector is installed; with one, every access also runs under the
+    /// commit protocol (DESIGN.md section 15), so a fail-stopped access
+    /// rolls back and leaves the controller as it was.
     pub fault: Option<FaultConfig>,
     /// Hard stash capacity: if set, exceeding it after the bounded
     /// background-eviction drain triggers *emergency eviction* (a degraded
@@ -132,8 +130,8 @@ pub struct OramConfig {
     pub stash_hard_capacity: Option<usize>,
     /// Scrub period in path accesses: every `scrub_interval` data-path
     /// reads, re-authenticate the whole encrypted image
-    /// ([`crate::EncryptedStore::verify_all`]) and repair what it flags.
-    /// `0` disables scrubbing. Requires `store_payloads`.
+    /// ([`crate::EncryptedStore::verify_all`]) and fail-stop the access on
+    /// what it flags. `0` disables scrubbing. Requires `store_payloads`.
     pub scrub_interval: u64,
     /// Bank-aware fetch pipeline: when set, the per-path fetch cost is
     /// computed by scheduling the path's bucket reads on a
@@ -184,7 +182,6 @@ impl OramConfig {
             levels_override: None,
             timing: OramTiming::default(),
             store_payloads: true,
-            verify_image: true,
             trace_capacity: 1 << 16,
             init_group_size: 1,
             dense_tree: false,
@@ -556,15 +553,18 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Keeps and verifies real payload bytes and an encrypted image.
+    /// Keeps real payload bytes in an encrypted image, the only copy of
+    /// the off-chip tree.
     pub fn store_payloads(mut self, on: bool) -> Self {
         self.cfg.store_payloads = on;
         self
     }
 
-    /// Re-authenticates the encrypted image on every path read.
-    pub fn verify_image(mut self, on: bool) -> Self {
-        self.cfg.verify_image = on;
+    /// Does nothing: sealed reads always authenticate now. Kept only for
+    /// the repository benchmark, its one caller; the next change to that
+    /// benchmark removes the call and this method with it.
+    #[deprecated(note = "sealed reads always authenticate; this is a no-op")]
+    pub fn verify_image(self, _on: bool) -> Self {
         self
     }
 
@@ -639,7 +639,6 @@ impl Default for OramConfig {
             levels_override: None,
             timing: OramTiming::paper_calibrated(),
             store_payloads: false,
-            verify_image: false,
             trace_capacity: 0,
             init_group_size: 1,
             dense_tree: false,
@@ -876,7 +875,6 @@ mod tests {
             .treetop_levels(1)
             .tree_layout(crate::layout::TreeLayout::SubtreePacked { height: 1 })
             .store_payloads(true)
-            .verify_image(true)
             .trace_capacity(1 << 10)
             .init_group_size(4)
             .stash_hard_capacity(200)
@@ -958,7 +956,6 @@ mod tests {
         let derived = base
             .to_builder()
             .store_payloads(false)
-            .verify_image(false)
             .build()
             .expect("still consistent");
         assert_eq!(derived.num_data_blocks, base.num_data_blocks);

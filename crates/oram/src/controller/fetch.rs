@@ -21,49 +21,39 @@ impl PathOram {
     /// Reads every bucket on the path to `leaf` into the stash, recording
     /// the adversary-visible event, statistics and byte movement. Callers
     /// must pair this with [`PathOram::write_path_from_stash`] on the same
-    /// leaf.
+    /// leaf before reading another path: until then the store still holds
+    /// the path's old images.
     ///
-    /// When the encrypted image is kept and verification is on (explicit
-    /// `verify_image`, or implied by fault injection), every bucket on the
-    /// path is decrypted and authenticated first. With fault injection the
-    /// controller *recovers*: corrupted or rolled-back buckets are
-    /// re-encrypted from the trusted logical tree; exhausted transient
-    /// reads are counted and skipped. Without it, faults propagate.
+    /// With a stored image every off-chip bucket on the path is decrypted
+    /// and authenticated first, and no block reaches the stash unless the
+    /// whole path authenticates.
     ///
     /// # Errors
     ///
-    /// Returns the detected [`OramError`] when recovery is disabled.
+    /// Returns the [`OramError`] of the first off-chip bucket that failed
+    /// authentication, is stale, or exhausted its transient-read retries;
+    /// the stash and the tree are then untouched.
     pub fn try_read_path_into_stash(
         &mut self,
         leaf: Leaf,
         kind: PathKind,
     ) -> Result<(), OramError> {
-        self.verify_gate(leaf)?;
+        self.decrypt_path(leaf)?;
         self.fill_path_into_stash(leaf, kind);
         Ok(())
     }
 
-    /// The decrypt/verify stage gate: authenticates the path when image
-    /// verification is configured (explicitly or via fault injection),
-    /// repairing in place when recovery is on.
-    pub(crate) fn verify_gate(&mut self, leaf: Leaf) -> Result<(), OramError> {
-        if self.config.verify_image || self.recovery_enabled() {
-            self.verify_path(leaf)?;
-        }
-        Ok(())
-    }
-
-    /// The stash-update half of a path fetch: moves the (verified) path's
-    /// blocks into the stash and records stats, trace and occupancy.
+    /// The stash-update half of a path fetch: moves the (authenticated)
+    /// path's blocks into the stash and records stats, trace and
+    /// occupancy.
     pub(crate) fn fill_path_into_stash(&mut self, leaf: Leaf, kind: PathKind) {
-        if self.txn_open {
-            // A fetched path's buckets lose blocks to the stash; recovery
-            // must re-verify them even if the crash lands before the
-            // write-back journals them.
-            self.txn_touched.extend(self.tree.path_indices(leaf));
-        }
         let peak_before = self.stash.peak();
         read_path(&mut self.tree, &mut self.stash, leaf);
+        for bucket in &mut self.scratch.path {
+            for block in bucket.drain() {
+                self.stash.insert(block);
+            }
+        }
         match kind {
             PathKind::Data => {
                 self.stats.data_path_accesses += 1;

@@ -9,7 +9,8 @@
 //!
 //! * `posmap` — position-map resolve and remap (PLB, top table),
 //! * `fetch` — path fetch: bucket-read batches, stash fill, block claim,
-//! * `verify` — decrypt/authenticate/repair of the encrypted image,
+//! * `verify` — decrypt and authenticate the path's off-chip buckets,
+//!   and the periodic scrub of the whole image,
 //! * `writeback` — path write-back, background and emergency eviction.
 //!
 //! [`PathOram::try_access_block`] is a thin driver that steps the machine
@@ -24,14 +25,19 @@
 //! Every fallible primitive returns [`Result<_, OramError>`] — the
 //! `try_` forms ([`PathOram::try_access_block`],
 //! [`PathOram::try_read_block`], [`PathOram::try_write_block`]) are the
-//! only access API; the old panicking wrappers are gone. With
-//! [`OramConfig::fault`] set, the controller recovers in place: corrupted
-//! or rolled-back buckets flagged by per-path verification (or the
-//! periodic scrub) are re-encrypted from the trusted logical tree,
-//! transient read failures retry with exponential backoff charged to
-//! access latency, and a stash past its hard capacity enters emergency
-//! eviction before fail-stop. Counters live in [`proram_mem::FaultStats`],
-//! surfaced via [`PathOram::fault_stats`].
+//! only access API; the old panicking wrappers are gone. With a stored
+//! image the off-chip buckets exist only as ciphertext, so nothing can be
+//! repaired from a plaintext copy: a bucket that fails authentication
+//! ([`OramError::Integrity`]) or is stale ([`OramError::Rollback`])
+//! fail-stops the access with that typed error, and so does a transient
+//! read failure that exhausts its retries (each retry's exponential
+//! backoff is charged to access latency). A path is authenticated in full
+//! before any of its blocks reaches the stash, and with fault injection
+//! ([`OramConfig::fault`]) or crash injection the access runs under the
+//! commit protocol and a failed one rolls back, so the controller is left
+//! exactly as before the call. A stash past its hard capacity enters
+//! emergency eviction before it fail-stops. Counters live in
+//! [`proram_mem::FaultStats`], surfaced via [`PathOram::fault_stats`].
 
 pub(crate) mod fetch;
 pub(crate) mod posmap;
@@ -40,13 +46,14 @@ pub(crate) mod writeback;
 
 use crate::addr::{AddressSpace, Leaf};
 use crate::block::{Block, Payload};
+use crate::bucket::Bucket;
 use crate::config::OramConfig;
 use crate::crash::{CrashArm, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 use crate::error::OramError;
 use crate::eviction::PathScratch;
 use crate::journal::Checkpoint;
 use crate::layout::StoreLayout;
-use crate::pipeline::{AccessMachine, AccessRequest, StageCycles};
+use crate::pipeline::{AccessMachine, AccessRequest, AccessStage, StageCycles};
 use crate::plb::Plb;
 use crate::posmap::PosEntry;
 use crate::stash::Stash;
@@ -152,7 +159,12 @@ pub struct AccessReport {
     pub stages: StageCycles,
 }
 
-/// The Path ORAM controller plus its in-DRAM tree.
+/// The Path ORAM controller plus its tree.
+///
+/// Without a stored image (`store_payloads` off, the opaque simulation
+/// mode behind every paper figure) the whole tree is resident in
+/// [`OramTree`]. With one, only the on-chip treetop is: every other
+/// bucket exists only as ciphertext in the [`EncryptedStore`].
 ///
 /// # Examples
 ///
@@ -171,6 +183,8 @@ pub struct AccessReport {
 pub struct PathOram {
     pub(crate) config: OramConfig,
     pub(crate) space: AddressSpace,
+    /// The resident buckets: the whole tree in opaque mode, the treetop
+    /// ([`StoreLayout::treetop_buckets`]) with a stored image.
     pub(crate) tree: OramTree,
     pub(crate) stash: Stash,
     pub(crate) plb: Plb,
@@ -196,17 +210,13 @@ pub struct PathOram {
     pub(crate) layout: StoreLayout,
     pub(crate) busy_until: Cycle,
     pub(crate) label: String,
-    /// Reusable write-back scratch (see [`PathScratch`]).
+    /// Reusable path scratch: write-back bins plus the decrypted off-chip
+    /// buckets of the path in flight (see [`PathScratch`]).
     pub(crate) scratch: PathScratch,
-    /// Reusable buffers for image verification (`verify_image` mode):
-    /// decrypted-bucket plaintext and the two address lists compared per
-    /// bucket.
-    pub(crate) verify_plain: Vec<u8>,
-    pub(crate) verify_store_addrs: Vec<u64>,
-    pub(crate) verify_tree_addrs: Vec<u64>,
-    /// Recovery counters owned by the controller (repairs, emergency
-    /// evictions, scrub passes); the injector's own counters live in the
-    /// store and the two are summed by [`PathOram::fault_stats`].
+    /// Fault counters owned by the controller (unserved requests,
+    /// emergency evictions, scrub passes); the injector's own counters
+    /// live in the store and the two are summed by
+    /// [`PathOram::fault_stats`].
     pub(crate) ctrl_faults: FaultStats,
     /// Data-path reads since the last scrub pass.
     pub(crate) reads_since_scrub: u64,
@@ -220,15 +230,22 @@ pub struct PathOram {
     /// Whether a commit transaction is open (between [`PathOram::txn_begin`]
     /// and the matching commit or recovery).
     pub(crate) txn_open: bool,
-    /// Heap indices of tree buckets this transaction fetched or wrote;
-    /// recovery re-reads exactly this set (unioned with the journal's)
-    /// from the store image.
-    pub(crate) txn_touched: std::collections::BTreeSet<usize>,
     /// `true` once the crash of the open transaction was counted and
     /// emitted (store-level crashes surface through several callers).
     pub(crate) crash_surfaced: bool,
     /// Cumulative crash-injection and recovery counters.
     pub(crate) crash_stats: CrashStats,
+}
+
+/// What the auditors' census found about one block.
+#[derive(Debug, Clone, Copy, Default)]
+struct Spot {
+    /// Copies across stash, PLB and tree.
+    copies: u32,
+    /// Heap index of the first copy's bucket; `None` on chip.
+    bucket: Option<usize>,
+    /// The leaf its position-map entry names, if that entry was found.
+    mapped: Option<Leaf>,
 }
 
 impl PathOram {
@@ -243,9 +260,20 @@ impl PathOram {
         let space = config.address_space();
         let levels = config.tree_levels();
         let mut rng = Xoshiro256::seed_from(seed);
-        let mut tree = OramTree::new(levels, config.z);
+        // The store only holds the off-chip buckets: the treetop lives in
+        // trusted on-chip memory and never gets a ciphertext image. With
+        // `treetop_levels == 0` and the flat layout the map is the
+        // identity, so the image (and its nonce sequence) is byte-
+        // identical to the pre-layout goldens.
+        let layout = StoreLayout::new(levels, config.treetop_levels, config.layout);
+        let resident = if config.store_payloads {
+            layout.treetop_buckets()
+        } else {
+            usize::MAX
+        };
+        let mut tree = OramTree::with_resident(levels, config.z, resident);
+        let resident = tree.resident_buckets();
         let num_leaves = tree.num_leaves();
-
         // Random initial leaf for every on-tree block. Data blocks may be
         // grouped (static super block scheme, Section 3.3): every aligned
         // group of `init_group_size` shares one leaf.
@@ -278,12 +306,6 @@ impl PathOram {
         let path_blocks = levels as usize * config.z;
         let resting_limit = config.stash_limit.saturating_sub(path_blocks).max(8);
         let mut stash = Stash::new(resting_limit);
-        // The store only holds the off-chip buckets: the treetop lives in
-        // trusted on-chip memory and never gets a ciphertext image. With
-        // `treetop_levels == 0` and the flat layout the map is the
-        // identity, so the image (and its nonce sequence) is byte-
-        // identical to the pre-layout goldens.
-        let layout = StoreLayout::new(levels, config.treetop_levels, config.layout);
         let mut store = if config.store_payloads {
             let mut store = EncryptedStore::new(
                 layout.num_off_chip(),
@@ -301,31 +323,48 @@ impl PathOram {
             None
         };
 
-        // Materialize blocks and place each as deep as possible on its
-        // own path.
-        for addr in 0..total {
-            let block = Self::make_block(
+        // Materialize blocks and place each, in address order, as deep as
+        // possible on its own path. Resident buckets take their blocks
+        // directly; the off-chip ones are sealed afterwards, in heap
+        // order, so no plaintext copy of the off-chip tree ever exists.
+        let mut off_chip_fill = vec![0usize; tree.num_buckets() - resident];
+        let mut off_chip: Vec<(usize, u64)> = Vec::new();
+        let block = |addr: u64| {
+            Self::make_block(
                 &config,
                 &space,
                 BlockAddr(addr),
                 leaves[addr as usize],
                 &leaves,
-            );
-            let mut placed = false;
-            for idx in tree.path_indices(block.leaf).rev() {
-                if !tree.bucket(idx).is_full() {
-                    tree.bucket_mut(idx).push(block.clone());
-                    placed = true;
-                    break;
+            )
+        };
+        for addr in 0..total {
+            let home = tree.path_indices(leaves[addr as usize]).rev().find(|&idx| {
+                if idx < resident {
+                    !tree.bucket(idx).is_full()
+                } else {
+                    off_chip_fill[idx - resident] < config.z
                 }
-            }
-            if !placed {
-                stash.insert(block);
+            });
+            match home {
+                Some(idx) if idx < resident => tree.bucket_mut(idx).push(block(addr)),
+                Some(idx) => {
+                    off_chip_fill[idx - resident] += 1;
+                    off_chip.push((idx, addr));
+                }
+                None => stash.insert(block(addr)),
             }
         }
         if let Some(store) = store.as_mut() {
-            for idx in layout.treetop_buckets()..tree.num_buckets() {
-                store.write_bucket(layout.phys_of(idx), tree.bucket(idx));
+            off_chip.sort_unstable();
+            let mut next = off_chip.iter().peekable();
+            let mut bucket = Bucket::new(config.z);
+            for idx in resident..tree.num_buckets() {
+                while let Some(&(_, addr)) = next.next_if(|&&(home, _)| home == idx) {
+                    bucket.push(block(addr));
+                }
+                store.write_bucket(layout.phys_of(idx), &bucket);
+                bucket.drain();
             }
         }
         // Crash injection arms after initialization: init traffic is not a
@@ -368,6 +407,8 @@ impl PathOram {
                     + u64::from(config.timing.fixed_overhead_cycles)
             }
         };
+        let mut scratch = PathScratch::new();
+        scratch.fit(&tree);
         PathOram {
             plb: Plb::new(config.plb_blocks),
             config,
@@ -386,16 +427,12 @@ impl PathOram {
             layout,
             busy_until: 0,
             label: "oram".to_owned(),
-            scratch: PathScratch::new(),
-            verify_plain: Vec::new(),
-            verify_store_addrs: Vec::new(),
-            verify_tree_addrs: Vec::new(),
+            scratch,
             ctrl_faults: FaultStats::default(),
             reads_since_scrub: 0,
             obs: Obs::disabled(),
             crash,
             txn_open: false,
-            txn_touched: std::collections::BTreeSet::new(),
             crash_surfaced: false,
             crash_stats: CrashStats::default(),
         }
@@ -489,12 +526,6 @@ impl PathOram {
         injector + self.ctrl_faults
     }
 
-    /// Whether detected faults are repaired in place rather than
-    /// propagated (on whenever an injector is configured).
-    pub(crate) fn recovery_enabled(&self) -> bool {
-        self.config.fault.is_some()
-    }
-
     /// The stash (for occupancy statistics).
     pub fn stash(&self) -> &Stash {
         &self.stash
@@ -553,9 +584,12 @@ impl PathOram {
     ///
     /// # Errors
     ///
-    /// Returns the typed [`OramError`] when a fault is detected and
-    /// recovery is disabled, or when recovery itself fails
-    /// ([`OramError::StashOverflow`]).
+    /// Returns the typed [`OramError`] that fail-stopped the access: a
+    /// bucket that failed authentication or is stale, a transient read
+    /// that exhausted its retries, a stash past its hard capacity, or an
+    /// injected crash. Under the commit protocol (fault or crash
+    /// injection configured) every error but a crash rolls the access
+    /// back before returning.
     ///
     /// # Panics
     ///
@@ -565,6 +599,20 @@ impl PathOram {
         addr: BlockAddr,
         kind: AccessKind,
     ) -> Result<AccessReport, OramError> {
+        self.run_access(addr, kind, |_| {})
+    }
+
+    /// Drives one access through the commit protocol and the pipeline
+    /// stages, calling `in_stash` once the requested block sits in the
+    /// stash (after `StashUpdate`, before `WriteBack`) — the only point
+    /// where its payload may be read or replaced without an extra,
+    /// adversary-visible bucket write.
+    fn run_access(
+        &mut self,
+        addr: BlockAddr,
+        kind: AccessKind,
+        mut in_stash: impl FnMut(&mut Self),
+    ) -> Result<AccessReport, OramError> {
         assert_eq!(
             self.space.hierarchy_of(addr),
             0,
@@ -572,12 +620,23 @@ impl PathOram {
         );
         self.txn_begin();
         let mut machine = AccessMachine::new(AccessRequest { addr, kind });
-        loop {
-            if let Some(completion) = machine.step(self)? {
-                self.txn_commit()?;
-                return Ok(completion.report);
+        let result = loop {
+            let stage = machine.stage();
+            match machine.step(self) {
+                Ok(None) if stage == AccessStage::StashUpdate => in_stash(self),
+                Ok(None) => {}
+                Ok(Some(completion)) => break self.txn_commit().map(|()| completion.report),
+                Err(err) => break Err(err),
+            }
+        };
+        if let Err(err) = &result {
+            // Fail-stop: a crash is left to the caller's `recover`, any
+            // other error rolls the open transaction back at once.
+            if self.txn_open && !matches!(err, OramError::Crashed { .. }) {
+                self.recover();
             }
         }
+        result
     }
 
     /// Records the start of one logical access (pipeline stage hook).
@@ -592,27 +651,35 @@ impl PathOram {
             .map_or(0, |s| s.fault_stats().backoff_cycles)
     }
 
-    /// Reads the data payload of `addr` (a full ORAM access).
+    /// Reads the data payload of `addr` (a full ORAM access). The payload
+    /// is copied out while the block sits in the stash.
     ///
     /// Returns `Ok(None)` if payload storage is disabled.
     ///
     /// # Errors
     ///
-    /// Propagates any unrecovered [`OramError`] from the access.
+    /// Propagates the [`OramError`] that fail-stopped the access.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not a data block.
     pub fn try_read_block(&mut self, addr: BlockAddr) -> Result<Option<Vec<u8>>, OramError> {
-        self.try_access_block(addr, AccessKind::Read)?;
-        Ok(self.with_data_block(addr, |bytes| bytes.to_vec()))
+        let mut out = None;
+        self.run_access(addr, AccessKind::Read, |oram| {
+            if let Some(Payload::Data(bytes)) = oram.stash.get(addr).map(|b| &b.payload) {
+                out = Some(bytes.to_vec());
+            }
+        })?;
+        Ok(out)
     }
 
-    /// Writes the data payload of `addr` (a full ORAM access).
+    /// Writes the data payload of `addr` (a full ORAM access). The payload
+    /// is replaced while the block sits in the stash, so it reaches the
+    /// store with the path write-back of this access and no other write.
     ///
     /// # Errors
     ///
-    /// Propagates any unrecovered [`OramError`] from the access.
+    /// Propagates the [`OramError`] that fail-stopped the access.
     ///
     /// # Panics
     ///
@@ -624,8 +691,13 @@ impl PathOram {
             self.config.timing.block_bytes as usize,
             "payload must be exactly one block"
         );
-        self.try_access_block(addr, AccessKind::Write)?;
-        let found = self.update_data_block(addr, bytes);
+        let mut found = false;
+        self.run_access(addr, AccessKind::Write, |oram| {
+            if let Some(Payload::Data(old)) = oram.stash.get_mut(addr).map(|b| &mut b.payload) {
+                old.copy_from_slice(bytes);
+                found = true;
+            }
+        })?;
         assert!(found, "payload storage disabled; enable store_payloads");
         Ok(())
     }
@@ -641,68 +713,6 @@ impl PathOram {
         self.obs = obs;
     }
 
-    /// Applies `f` to the payload bytes of a data block wherever it
-    /// currently lives (stash or tree).
-    fn with_data_block<T>(&mut self, addr: BlockAddr, f: impl FnOnce(&[u8]) -> T) -> Option<T> {
-        let block = self.find_block(addr)?;
-        match &block.payload {
-            Payload::Data(bytes) => Some(f(bytes)),
-            _ => None,
-        }
-    }
-
-    fn update_data_block(&mut self, addr: BlockAddr, bytes: &[u8]) -> bool {
-        // The block is in the stash or somewhere on its mapped path
-        // (write-back just ran).
-        if let Some(block) = self.stash.get_mut(addr) {
-            return match &mut block.payload {
-                Payload::Data(old) => {
-                    *old = bytes.to_vec().into();
-                    true
-                }
-                _ => false,
-            };
-        }
-        let Some(leaf) = self.known_leaf(addr) else {
-            return false;
-        };
-        for idx in self.tree.path_indices(leaf) {
-            let updated = match self.tree.bucket_mut(idx).block_mut(addr) {
-                Some(block) => match &mut block.payload {
-                    Payload::Data(old) => {
-                        *old = bytes.to_vec().into();
-                        true
-                    }
-                    _ => return false,
-                },
-                None => false,
-            };
-            if updated {
-                // Keep the encrypted image coherent. Treetop buckets have
-                // no image — the on-chip plaintext is authoritative.
-                if idx >= self.layout.treetop_buckets() {
-                    let bucket = self.tree.bucket(idx).clone();
-                    let phys = self.layout.phys_of(idx);
-                    if let Some(store) = self.store.as_mut() {
-                        store.write_bucket(phys, &bucket);
-                    }
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    fn find_block(&self, addr: BlockAddr) -> Option<&Block> {
-        if let Some(b) = self.stash.get(addr) {
-            return Some(b);
-        }
-        let leaf = self.known_leaf(addr)?;
-        self.tree
-            .path_indices(leaf)
-            .find_map(|idx| self.tree.bucket(idx).iter().find(|b| b.addr == addr))
-    }
-
     // ------------------------------------------------------------------
     // Crash-consistent commit protocol (DESIGN.md section 15)
     // ------------------------------------------------------------------
@@ -715,9 +725,10 @@ impl PathOram {
     /// Opens the commit transaction of one logical access: seals
     /// checkpoint A (the pre-access volatile state) into the store journal
     /// and starts first-touch undo journaling. No-op without
-    /// [`OramConfig::crash`] — the protocol costs nothing when disarmed.
+    /// [`OramConfig::crash`] or [`OramConfig::fault`] — the protocol costs
+    /// nothing when no injector is armed.
     pub(crate) fn txn_begin(&mut self) {
-        if self.config.crash.is_none() {
+        if self.config.crash.is_none() && self.config.fault.is_none() {
             return;
         }
         if self.txn_open {
@@ -731,10 +742,9 @@ impl PathOram {
         let checkpoint_a = self.seal_checkpoint();
         self.store
             .as_mut()
-            .expect("crash injection requires store_payloads")
+            .expect("the commit protocol requires store_payloads")
             .begin_txn(checkpoint_a);
         self.txn_open = true;
-        self.txn_touched.clear();
         self.crash_surfaced = false;
     }
 
@@ -753,12 +763,11 @@ impl PathOram {
         let store = self
             .store
             .as_mut()
-            .expect("crash injection requires store_payloads");
+            .expect("the commit protocol requires store_payloads");
         match store.commit_txn(checkpoint_b) {
             Ok(entries) => {
                 let epoch = store.epoch();
                 self.txn_open = false;
-                self.txn_touched.clear();
                 self.obs
                     .emit(|| proram_obs::ObsEvent::JournalCommit { entries, epoch });
                 Ok(())
@@ -778,7 +787,7 @@ impl PathOram {
         let store = self
             .store
             .as_ref()
-            .expect("crash injection requires store_payloads");
+            .expect("the commit protocol requires store_payloads");
         let mut stash: Vec<Block> = self.stash.iter().cloned().collect();
         // The stash map iterates in hash order; the checkpoint is a
         // canonical record, so impose address order.
@@ -856,10 +865,10 @@ impl PathOram {
         OramError::Crashed { point }
     }
 
-    /// Recovers from a crashed access: closes the store journal (rollback
-    /// or replay), adopts the matching sealed checkpoint, rebuilds the
-    /// touched tree buckets by re-reading and re-authenticating the store
-    /// image, and clears the transaction state.
+    /// Recovers from a crashed or fail-stopped access: closes the store
+    /// journal (rollback or replay), adopts the matching sealed
+    /// checkpoint, re-authenticates every bucket the journal touched, and
+    /// clears the transaction state.
     ///
     /// Safe to call when nothing crashed — it reports
     /// [`RecoveryMode::Clean`] and changes nothing.
@@ -870,6 +879,8 @@ impl PathOram {
     /// or if a touched bucket fails re-authentication — recovery must
     /// never adopt forged state.
     pub fn recover(&mut self) -> RecoveryReport {
+        // Blocks of an abandoned path read never reached the stash.
+        self.scratch.clear_path();
         let Some(store) = self.store.as_mut() else {
             self.crash_stats.clean_recoveries += 1;
             return self.clean_recovery();
@@ -896,6 +907,14 @@ impl PathOram {
             checkpoint.epoch, begin_epoch,
             "adopted checkpoint is from another epoch"
         );
+        // The store is the durable medium and the only copy of the
+        // off-chip tree: every bucket the transaction wrote must
+        // authenticate in its rolled-back (or replayed) image.
+        for &phys in &rec.touched {
+            store
+                .peek_bucket(phys)
+                .expect("recovered bucket failed authentication");
+        }
         // Adopt the checkpointed volatile state: RNG (so a rolled-back
         // access retries with identical randomness), top table, stash and
         // PLB (re-inserted oldest-first so the MRU order is restored).
@@ -914,10 +933,9 @@ impl PathOram {
         // The treetop is volatile SRAM with no store image: adopt the
         // checkpointed buckets wholesale (A's pre-access contents after a
         // rollback, B's post-access contents after a replay).
-        let treetop = self.layout.treetop_buckets();
         assert_eq!(
             checkpoint.treetop.len(),
-            treetop,
+            self.layout.treetop_buckets(),
             "adopted checkpoint has the wrong treetop geometry"
         );
         for (idx, blocks) in checkpoint.treetop.into_iter().enumerate() {
@@ -926,35 +944,6 @@ impl PathOram {
             for block in blocks {
                 bucket.push(block);
             }
-        }
-        // Rebuild the tree mirror of every off-chip bucket the transaction
-        // touched from the (rolled-back or replayed) store image. The
-        // store is the durable medium; decrypt-and-authenticate is what
-        // makes the rebuilt plaintext trustworthy. The journal's indices
-        // are already physical; the controller's touched set is heap-side
-        // and drops its treetop prefix (those buckets came back with the
-        // checkpoint above).
-        let taken = std::mem::take(&mut self.txn_touched);
-        let mut touched: std::collections::BTreeSet<usize> = rec.touched.iter().copied().collect();
-        touched.extend(
-            taken
-                .into_iter()
-                .filter(|&heap| heap >= treetop)
-                .map(|heap| self.layout.phys_of(heap)),
-        );
-        let mut reverified = 0usize;
-        for &phys in &touched {
-            let heap = self.layout.heap_of(phys);
-            let store = self.store.as_mut().expect("store present above");
-            let blocks = store
-                .try_read_bucket(phys)
-                .expect("recovered bucket failed authentication");
-            let bucket = self.tree.bucket_mut(heap);
-            bucket.drain();
-            for block in blocks {
-                bucket.push(block);
-            }
-            reverified += 1;
         }
         let mode = if rec.replay {
             self.crash_stats.replays += 1;
@@ -967,6 +956,7 @@ impl PathOram {
         self.crash_surfaced = false;
         let replay = rec.replay;
         let restored = rec.restored as u64;
+        let reverified = rec.touched.len();
         self.obs.emit(|| proram_obs::ObsEvent::RecoverReplay {
             replay,
             restored,
@@ -991,7 +981,6 @@ impl PathOram {
     /// reports [`RecoveryMode::Clean`].
     fn clean_recovery(&mut self) -> RecoveryReport {
         self.txn_open = false;
-        self.txn_touched.clear();
         self.crash_surfaced = false;
         RecoveryReport {
             mode: RecoveryMode::Clean,
@@ -1010,35 +999,23 @@ impl PathOram {
     ///
     /// # Panics
     ///
-    /// Panics on the first duplicated, missing, or misplaced block.
+    /// Panics on the first duplicated, missing, or misplaced block, and
+    /// on an off-chip bucket that fails authentication.
     pub fn audit_full(&self) {
-        let total = self.space.total_tree_blocks();
-        let mut count = vec![0u32; total as usize];
-        let mut tally = |addr: BlockAddr, where_: &str| {
-            assert!(addr.0 < total, "{where_} holds out-of-space block {addr}");
-            count[addr.0 as usize] += 1;
-        };
-        for b in self.stash.iter() {
-            tally(b.addr, "stash");
-        }
-        for b in self.plb.iter() {
-            tally(b.addr, "PLB");
-        }
-        for idx in 0..self.tree.num_buckets() {
-            for b in self.tree.bucket(idx).iter() {
-                tally(b.addr, "tree");
-            }
-        }
-        for (addr, &n) in count.iter().enumerate() {
+        let census = self.census();
+        for (addr, spot) in census.iter().enumerate() {
+            let n = spot.copies;
             assert_eq!(n, 1, "block {addr} appears {n} times across stash/PLB/tree");
         }
-        self.check_invariants();
+        self.check_placement(&census);
     }
 
     /// A deterministic digest of the complete controller state (RNG, top
     /// table, stash, PLB, tree) — two controllers with equal digests are
     /// observationally identical. The crash-recovery suite compares
-    /// post-recovery digests against crash-free runs.
+    /// post-recovery digests against crash-free runs. An off-chip bucket
+    /// that fails authentication has no logical content and digests as a
+    /// fixed marker.
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         for w in self.rng.state() {
@@ -1058,12 +1035,13 @@ impl PathOram {
         for b in self.plb.iter() {
             Self::digest_block(&mut h, b);
         }
-        for idx in 0..self.tree.num_buckets() {
+        self.for_each_bucket(|idx, blocks| {
             h.write_u64(idx as u64);
-            for b in self.tree.bucket(idx).iter() {
-                Self::digest_block(&mut h, b);
+            match blocks {
+                Ok(blocks) => blocks.iter().for_each(|b| Self::digest_block(&mut h, b)),
+                Err(_) => h.write_u64(u64::MAX),
             }
-        }
+        });
         h.finish()
     }
 
@@ -1089,6 +1067,27 @@ impl PathOram {
         }
     }
 
+    /// Visits every tree bucket in heap order: resident ones in place,
+    /// off-chip ones through the store's read-only decrypt, which touches
+    /// neither statistics, the RNG nor the fault injector.
+    fn for_each_bucket(&self, mut f: impl FnMut(usize, Result<&[Block], OramError>)) {
+        let resident = self.tree.resident_buckets();
+        for idx in 0..self.tree.num_buckets() {
+            if idx < resident {
+                f(idx, Ok(self.tree.bucket(idx).as_slice()));
+            } else {
+                let store = self
+                    .store
+                    .as_ref()
+                    .expect("off-chip buckets live in the store");
+                match store.peek_bucket(self.layout.phys_of(idx)) {
+                    Ok(blocks) => f(idx, Ok(&blocks)),
+                    Err(err) => f(idx, Err(err)),
+                }
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Invariant checking (tests)
     // ------------------------------------------------------------------
@@ -1099,57 +1098,58 @@ impl PathOram {
     ///
     /// # Panics
     ///
-    /// Panics on the first violation. Intended for tests; cost is
-    /// `O(total blocks * levels)`.
+    /// Panics on the first violation, and on an off-chip bucket that
+    /// fails authentication. Intended for tests; it reads every bucket
+    /// once.
     pub fn check_invariants(&self) {
-        // Walk the posmap chain top-down, gathering the authoritative leaf
-        // of every block, then check placement.
-        let total = self.space.total_tree_blocks();
-        for addr in 0..total {
-            let addr = BlockAddr(addr);
-            if let Some(leaf) = self.authoritative_leaf(addr) {
-                assert!(
-                    self.block_is_findable(addr, leaf),
-                    "invariant violation: block {addr} mapped to {leaf} is not on its path/stash/PLB"
-                );
+        self.check_placement(&self.census());
+    }
+
+    fn check_placement(&self, census: &[Spot]) {
+        for (addr, spot) in census.iter().enumerate() {
+            let Some(leaf) = spot.mapped else { continue };
+            let placed = spot.copies > 0
+                && spot
+                    .bucket
+                    .is_none_or(|idx| self.tree.bucket_index(leaf, (idx + 1).ilog2()) == idx);
+            assert!(
+                placed,
+                "invariant violation: block {addr} mapped to {leaf} is not on its path/stash/PLB"
+            );
+        }
+    }
+
+    /// Where every block lives, gathered in one pass over the stash, the
+    /// PLB and every tree bucket.
+    fn census(&self) -> Vec<Spot> {
+        let mut census = vec![Spot::default(); self.space.total_tree_blocks() as usize];
+        let top_base = self.space.region_base(self.space.on_tree_hierarchies()) as usize;
+        for (i, e) in self.top.iter().enumerate() {
+            census[top_base + i].mapped = Some(e.leaf);
+        }
+        let mut note = |b: &Block, bucket: Option<usize>, where_: &str| {
+            let spot = census
+                .get_mut(b.addr.0 as usize)
+                .unwrap_or_else(|| panic!("{where_} holds out-of-space block {}", b.addr));
+            if spot.copies == 0 {
+                spot.bucket = bucket;
             }
-        }
-    }
-
-    fn authoritative_leaf(&self, addr: BlockAddr) -> Option<Leaf> {
-        let h = self.parent_hierarchy(addr);
-        if h == self.space.top_hierarchy() {
-            let base = self.space.region_base(h - 1);
-            return Some(self.top[(addr.0 - base) as usize].leaf);
-        }
-        let pm_addr = self.space.posmap_block_for(addr, h);
-        if let Some(block) = self.plb.peek(pm_addr) {
-            return Some(block.entries()[self.space.entry_index(addr)].leaf);
-        }
-        // The parent itself must be findable; read its entry wherever it
-        // is (stash or tree).
-        let parent_leaf = self.authoritative_leaf(pm_addr)?;
-        let parent = self.locate(pm_addr, parent_leaf)?;
-        Some(parent.entries()[self.space.entry_index(addr)].leaf)
-    }
-
-    fn locate(&self, addr: BlockAddr, leaf: Leaf) -> Option<&Block> {
-        if let Some(b) = self.stash.get(addr) {
-            return Some(b);
-        }
-        if let Some(b) = self.plb.peek(addr) {
-            return Some(b);
-        }
-        for idx in self.tree.path_indices(leaf) {
-            if let Some(b) = self.tree.bucket(idx).iter().find(|b| b.addr == addr) {
-                return Some(b);
+            spot.copies += 1;
+            if let Payload::PosMap(entries) = &b.payload {
+                let first = self.space.first_child(b.addr).0 as usize;
+                for (i, e) in entries.iter().enumerate() {
+                    census[first + i].mapped = Some(e.leaf);
+                }
             }
-        }
-        None
-    }
-
-    fn block_is_findable(&self, addr: BlockAddr, leaf: Leaf) -> bool {
-        self.locate(addr, leaf).is_some()
+        };
+        self.stash.iter().for_each(|b| note(b, None, "stash"));
+        self.plb.iter().for_each(|b| note(b, None, "PLB"));
+        self.for_each_bucket(|idx, blocks| {
+            let blocks =
+                blocks.unwrap_or_else(|err| panic!("bucket {idx} failed authentication: {err}"));
+            blocks.iter().for_each(|b| note(b, Some(idx), "tree"));
+        });
+        census
     }
 
     /// Schedules `cycles` of work on the serialized ORAM resource starting
@@ -1269,9 +1269,9 @@ impl MemoryBackend for PathOram {
                 rec.cycles + retry
             }
             Err(_) => {
-                // Unrecoverable fault: count it and serve the request
-                // degraded (one path's worth of latency, data from the
-                // trusted logical tree) instead of aborting the run.
+                // Fail-stopped access: count it and charge one path's
+                // worth of latency; the timing simulation still delivers
+                // the fill instead of aborting the run.
                 self.ctrl_faults.unrecovered += 1;
                 self.fetch_cycles
             }
@@ -1660,30 +1660,6 @@ mod tests {
     }
 
     #[test]
-    fn verification_gating_does_not_change_behavior() {
-        // verify_image draws no randomness and mutates nothing, so runs
-        // with and without it must be step-for-step identical.
-        let run = |verify: bool| {
-            let cfg = OramConfig {
-                verify_image: verify,
-                ..OramConfig::small_for_tests(256)
-            };
-            let mut oram = PathOram::new(cfg, 42);
-            let mut rng = Xoshiro256::seed_from(3);
-            for _ in 0..200 {
-                oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-                    .unwrap();
-            }
-            (
-                oram.oram_stats(),
-                oram.trace().observed_leaves(),
-                oram.stash().peak(),
-            )
-        };
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
     fn write_backs_reuse_the_scratch() {
         let mut oram = small();
         oram.try_access_block(BlockAddr(1), AccessKind::Read)
@@ -1693,6 +1669,72 @@ mod tests {
         oram.try_access_block(BlockAddr(2), AccessKind::Read)
             .unwrap();
         assert!(oram.allocs_avoided() > after_one);
+    }
+
+    #[test]
+    fn sealed_tree_holds_only_the_treetop() {
+        for treetop in [0, 2] {
+            let cfg = OramConfig {
+                treetop_levels: treetop,
+                ..OramConfig::small_for_tests(256)
+            };
+            let mut oram = PathOram::new(cfg, 3);
+            for a in 0..64 {
+                oram.try_access_block(BlockAddr(a), AccessKind::Read)
+                    .unwrap();
+            }
+            assert_eq!(
+                oram.tree.resident_buckets(),
+                oram.store_layout().treetop_buckets()
+            );
+            oram.audit_full();
+        }
+        let opaque = OramConfig {
+            store_payloads: false,
+            ..OramConfig::small_for_tests(256)
+        };
+        let oram = PathOram::new(opaque, 3);
+        assert_eq!(oram.tree.resident_buckets(), oram.tree.num_buckets());
+    }
+
+    /// Cleartext version counter of every store bucket.
+    fn versions(oram: &PathOram) -> Vec<u64> {
+        let store = oram.storage().expect("payloads on");
+        (0..store.num_buckets())
+            .map(|i| u64::from_le_bytes(store.ciphertext(i)[8..16].try_into().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn payload_write_rewrites_each_accessed_bucket_once_per_path() {
+        // The payload is replaced in the stash, so the only bucket writes
+        // an adversary sees are the write-backs of the paths the access
+        // walked: one version step per walked path, nothing else.
+        let mut oram = PathOram::new(OramConfig::small_for_tests(64), 5);
+        for a in 0..16u64 {
+            let before = versions(&oram);
+            oram.clear_trace();
+            oram.try_write_block(BlockAddr(a), &[a as u8 + 1; 128])
+                .unwrap();
+            let mut expected = vec![0; before.len()];
+            for leaf in oram.trace().observed_leaves() {
+                for idx in oram.tree.path_indices(Leaf(leaf as u32)) {
+                    expected[oram.layout.phys_of(idx)] += 1;
+                }
+            }
+            let advanced: Vec<u64> = versions(&oram)
+                .iter()
+                .zip(&before)
+                .map(|(after, before)| after - before)
+                .collect();
+            assert_eq!(advanced, expected, "write of block {a}");
+        }
+        for a in 0..16u64 {
+            assert_eq!(
+                oram.try_read_block(BlockAddr(a)).unwrap().unwrap(),
+                vec![a as u8 + 1; 128]
+            );
+        }
     }
 
     #[test]
@@ -1749,55 +1791,108 @@ mod fault_tests {
         assert_eq!(run(None), run(Some(FaultConfig::silent(99))));
     }
 
-    #[test]
-    fn every_fault_class_is_recovered_without_panic() {
-        for class in FaultClass::ALL {
-            let rate = match class {
-                FaultClass::Transient => 0.05,
-                _ => 0.02,
+    /// Alternating payload writes and reads against a shadow copy: every
+    /// read returns the last bytes written or a typed error, a failed
+    /// access leaves the controller exactly as it was, and no injected
+    /// fault goes unnoticed.
+    fn shadow_checked_run(cfg: OramConfig, class: FaultClass) {
+        let blocks = cfg.num_data_blocks;
+        let mut oram = PathOram::new(cfg, 21);
+        let mut shadow = vec![vec![0u8; 128]; blocks as usize];
+        let mut rng = Xoshiro256::seed_from(8);
+        let (mut served, mut failed) = (0, 0);
+        for i in 0..120u64 {
+            let addr = rng.next_below(blocks);
+            let slot = addr as usize;
+            let before = oram.state_digest();
+            let result = if i % 2 == 0 {
+                let bytes = vec![(i % 255) as u8 + 1; 128];
+                oram.try_write_block(BlockAddr(addr), &bytes)
+                    .map(|()| shadow[slot] = bytes)
+            } else {
+                oram.try_read_block(BlockAddr(addr)).map(|got| {
+                    assert_eq!(got.as_ref(), Some(&shadow[slot]), "{}", class.name());
+                })
             };
-            let mut oram = PathOram::new(faulty_cfg(FaultConfig::single(class, rate, 17)), 21);
-            let mut rng = Xoshiro256::seed_from(8);
-            for _ in 0..150 {
-                let addr = BlockAddr(rng.next_below(256));
-                oram.try_access_block(addr, AccessKind::Read)
-                    .unwrap_or_else(|e| panic!("{} not recovered: {e}", class.name()));
+            match result {
+                Ok(()) => served += 1,
+                Err(
+                    OramError::Integrity { .. }
+                    | OramError::Rollback { .. }
+                    | OramError::Transient { .. },
+                ) => {
+                    assert_eq!(oram.state_digest(), before, "{}", class.name());
+                    failed += 1;
+                }
+                Err(e) => panic!("{}: unexpected {e}", class.name()),
             }
-            let stats = oram.fault_stats();
-            assert!(
-                stats.total_injected() > 0,
-                "{}: nothing injected at rate {rate}",
-                class.name()
-            );
-            assert_eq!(stats.undetected, 0, "{}: false negatives", class.name());
-            oram.check_invariants();
+        }
+        let stats = oram.fault_stats();
+        assert!(stats.total_injected() > 0, "{}", class.name());
+        assert_eq!(stats.undetected, 0, "{}: false negatives", class.name());
+        assert!(served > 0, "{}: nothing served", class.name());
+        assert!(failed > 0, "{}: nothing fail-stopped", class.name());
+        if class == FaultClass::Transient {
+            assert!(stats.recovered > 0, "no transient read was retried");
         }
     }
 
     #[test]
-    fn payloads_survive_fault_recovery() {
-        let fault = FaultConfig {
-            bit_flip_rate: 0.02,
-            rollback_rate: 0.02,
-            ..FaultConfig::silent(33)
-        };
-        let mut oram = PathOram::new(faulty_cfg(fault), 5);
-        for a in 0..16u64 {
-            oram.try_write_block(BlockAddr(a), &[a as u8; 128]).unwrap();
-        }
-        let mut rng = Xoshiro256::seed_from(9);
-        for _ in 0..100 {
-            oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-                .unwrap();
-        }
-        for a in 0..16u64 {
-            assert_eq!(
-                oram.try_read_block(BlockAddr(a)).unwrap().unwrap(),
-                vec![a as u8; 128],
-                "payload of block {a} lost through recovery"
+    fn every_fault_class_fail_stops_without_losing_a_write() {
+        for class in FaultClass::ALL {
+            let rate = match class {
+                FaultClass::Transient => 0.3,
+                _ => 0.02,
+            };
+            let cfg = faulty_cfg(FaultConfig::single(class, rate, 17));
+            shadow_checked_run(
+                OramConfig {
+                    num_data_blocks: 64,
+                    ..cfg
+                },
+                class,
             );
         }
-        assert!(oram.fault_stats().recovered > 0);
+    }
+
+    #[test]
+    fn treetop_faults_fail_stop_without_losing_a_write() {
+        // Initialization writes are injected too. A corrupted bucket on
+        // the path of the top position-map block stops every later
+        // access (nothing can repair it), which at injector seed 17 leaves
+        // nothing to serve; seed 18 keeps that path clean.
+        let cfg = OramConfig {
+            num_data_blocks: 64,
+            treetop_levels: 2,
+            ..faulty_cfg(FaultConfig::single(FaultClass::BitFlip, 0.02, 18))
+        };
+        shadow_checked_run(cfg, FaultClass::BitFlip);
+    }
+
+    #[test]
+    fn scrub_detects_out_of_path_corruption() {
+        let cfg = OramConfig {
+            scrub_interval: 10,
+            ..faulty_cfg(FaultConfig::silent(1))
+        };
+        let mut oram = PathOram::new(cfg, 13);
+        // Corrupt a bucket directly (not via the injector): the scrub
+        // pass must report it even if no access walks past it.
+        let nb = oram.storage().expect("payloads on").num_buckets();
+        oram.storage_mut()
+            .expect("payloads on")
+            .corrupt_byte(nb - 1, 30, 0x08);
+        let mut rng = Xoshiro256::seed_from(6);
+        let flagged = (0..10)
+            .filter_map(|_| {
+                oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
+                    .err()
+            })
+            .any(|e| e.bucket() == Some(nb - 1));
+        assert!(oram.fault_stats().scrub_runs >= 1, "scrub never ran");
+        assert!(flagged, "scrub did not report the corruption");
+        assert_eq!(oram.scrub().unwrap_err().bucket(), Some(nb - 1));
+        assert!(oram.fault_stats().detected_integrity >= 2);
     }
 
     #[test]
@@ -1824,35 +1919,6 @@ mod fault_tests {
             tree_accesses * oram.path_cycles() + stats.backoff_cycles,
             "latency must include retry backoff"
         );
-    }
-
-    #[test]
-    fn scrub_repairs_out_of_path_corruption() {
-        let cfg = OramConfig {
-            scrub_interval: 10,
-            ..faulty_cfg(FaultConfig::silent(1))
-        };
-        let mut oram = PathOram::new(cfg, 13);
-        // Corrupt a bucket directly (not via the injector) — the scrub
-        // pass must find and repair it even if no access walks past it.
-        let nb = oram.storage().expect("payloads on").num_buckets();
-        oram.storage_mut()
-            .expect("payloads on")
-            .corrupt_byte(nb - 1, 30, 0x08);
-        let mut rng = Xoshiro256::seed_from(6);
-        for _ in 0..10 {
-            oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-                .unwrap();
-        }
-        let stats = oram.fault_stats();
-        assert!(stats.scrub_runs >= 1, "scrub never ran");
-        assert!(stats.recovered >= 1, "scrub did not repair");
-        // After the scrub the whole image verifies again.
-        assert!(oram
-            .storage_mut()
-            .expect("payloads on")
-            .verify_all()
-            .is_ok());
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Stage 3: decrypt, authenticate, repair.
+//! Stage 3: decrypt and authenticate.
 //!
-//! Cross-checks the encrypted DRAM image against the trusted logical tree
-//! — per-path during an access (the `DecryptVerify` stage) and image-wide
-//! in the periodic scrub. With fault injection configured the stage
-//! *recovers*: flagged buckets are re-encrypted from the logical tree;
-//! without it, detected faults propagate as typed [`OramError`]s.
+//! Decrypts and authenticates every off-chip bucket of a path into the
+//! path scratch (the `DecryptVerify` stage), and re-authenticates the
+//! whole image in the periodic scrub. The store holds the only copy of
+//! those buckets, so a detected fault is never repaired: it surfaces as
+//! a typed [`OramError`] and fail-stops the access.
 
 use super::PathOram;
 use crate::addr::Leaf;
@@ -20,133 +20,64 @@ fn fault_kind(err: &OramError) -> FaultKind {
         OramError::Transient { .. } => FaultKind::Transient,
         OramError::StashOverflow { .. } => FaultKind::StashPressure,
         OramError::BlockMissing { .. } => FaultKind::BlockMissing,
-        // Crash unwinds are propagated (never repaired here) and crash
-        // injection excludes fault injection by config validation, so this
-        // classification is only a defensive nearest-neighbor.
+        // Store reads never report crashes, so this classification is
+        // only a defensive nearest-neighbor.
         OramError::Crashed { .. } => FaultKind::Transient,
     }
 }
 
 impl PathOram {
-    /// Decrypts, authenticates and cross-checks every *off-chip* bucket
-    /// on the path to `leaf` against the logical tree, repairing detected
-    /// faults in place when recovery is enabled. Treetop-cached levels
-    /// are trusted plaintext and skipped. Addr-only reads through
-    /// reusable buffers — no payload reconstruction, no allocation on the
-    /// clean path.
-    pub(crate) fn verify_path(&mut self, leaf: Leaf) -> Result<(), OramError> {
-        let recover = self.recovery_enabled();
+    /// Decrypts and authenticates every *off-chip* bucket on the path to
+    /// `leaf` into the path scratch. Resident (treetop) buckets are
+    /// trusted plaintext and skipped; without a stored image there is
+    /// nothing to do.
+    ///
+    /// # Errors
+    ///
+    /// The first bucket's [`OramError`]; the scratch is then emptied, so
+    /// nothing of the path reaches the stash.
+    pub(crate) fn decrypt_path(&mut self, leaf: Leaf) -> Result<(), OramError> {
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
-        let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-        for idx in self.tree.path_indices(leaf).skip(skip) {
+        let resident = self.tree.resident_buckets();
+        for (level, idx) in self.tree.path_indices(leaf).enumerate() {
+            if idx < resident {
+                continue;
+            }
             let phys = self.layout.phys_of(idx);
-            self.verify_store_addrs.clear();
-            match store.bucket_addrs_into(
-                phys,
-                &mut self.verify_plain,
-                &mut self.verify_store_addrs,
-            ) {
-                Ok(()) => {
-                    self.verify_tree_addrs.clear();
-                    self.verify_tree_addrs
-                        .extend(self.tree.bucket(idx).iter().map(|b| b.addr.0));
-                    self.verify_store_addrs.sort_unstable();
-                    self.verify_tree_addrs.sort_unstable();
-                    assert_eq!(
-                        self.verify_store_addrs, self.verify_tree_addrs,
-                        "encrypted image diverged at bucket {idx}"
-                    );
-                }
-                Err(err) if recover => {
-                    let kind = fault_kind(&err);
-                    self.obs.emit(|| ObsEvent::FaultDetected {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                    match err {
-                        OramError::Integrity { .. } | OramError::Rollback { .. } => {
-                            // The logical tree is trusted on-chip state:
-                            // restore the bucket by re-encrypting it under a
-                            // fresh nonce and version.
-                            store.write_bucket(phys, self.tree.bucket(idx));
-                            self.ctrl_faults.recovered += 1;
-                            self.obs.emit(|| ObsEvent::FaultRecovered {
-                                kind,
-                                bucket: idx as u64,
-                            });
-                        }
-                        OramError::Transient { .. } => {
-                            // Retries exhausted; the logical copy still serves
-                            // the access, but the bucket went unread.
-                            self.ctrl_faults.unrecovered += 1;
-                        }
-                        OramError::StashOverflow { .. }
-                        | OramError::BlockMissing { .. }
-                        | OramError::Crashed { .. } => return Err(err),
-                    }
-                }
-                Err(err) => return Err(err),
+            if let Err(err) = store.read_bucket_into(phys, &mut self.scratch.path[level]) {
+                self.scratch.clear_path();
+                let kind = fault_kind(&err);
+                self.obs.emit(|| ObsEvent::FaultDetected {
+                    kind,
+                    bucket: idx as u64,
+                });
+                return Err(err);
             }
         }
         Ok(())
     }
 
-    /// Verifies the whole encrypted image ([`crate::EncryptedStore::verify_all`])
-    /// and, when recovery is enabled, repairs every bucket it flags from
-    /// the trusted logical tree. This is the periodic scrub pass driven by
-    /// [`crate::OramConfig::scrub_interval`]; it can also be called
-    /// directly.
+    /// Re-authenticates the whole encrypted image
+    /// ([`crate::EncryptedStore::verify_all`]). This is the periodic scrub
+    /// pass driven by [`crate::OramConfig::scrub_interval`]; it can also
+    /// be called directly. It finds corruption no access has walked past
+    /// yet, and reports it.
     ///
     /// # Errors
     ///
-    /// Returns the first detected [`OramError`] when recovery is disabled.
+    /// The first detected [`OramError`].
     pub fn scrub(&mut self) -> Result<(), OramError> {
-        let recover = self.recovery_enabled();
         let Some(store) = self.store.as_mut() else {
             return Ok(());
         };
         self.ctrl_faults.scrub_runs += 1;
         self.ctrl_faults.scrub_buckets += store.num_buckets() as u64;
-        // Fast path: one clean sweep of the whole image.
-        match store.verify_all() {
-            Ok(()) => return Ok(()),
-            Err(err) if !recover => return Err(err),
-            Err(_) => {}
-        }
-        // Something is wrong: re-verify bucket by bucket and repair.
-        for idx in 0..store.num_buckets() {
-            match store.verify_bucket(idx) {
-                Ok(()) => {}
-                Err(err @ (OramError::Integrity { .. } | OramError::Rollback { .. })) => {
-                    let kind = fault_kind(&err);
-                    self.obs.emit(|| ObsEvent::FaultDetected {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                    store.write_bucket(idx, self.tree.bucket(self.layout.heap_of(idx)));
-                    self.ctrl_faults.recovered += 1;
-                    self.obs.emit(|| ObsEvent::FaultRecovered {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                }
-                Err(err @ OramError::Transient { .. }) => {
-                    let kind = fault_kind(&err);
-                    self.obs.emit(|| ObsEvent::FaultDetected {
-                        kind,
-                        bucket: idx as u64,
-                    });
-                    self.ctrl_faults.unrecovered += 1;
-                }
-                Err(
-                    err @ (OramError::StashOverflow { .. }
-                    | OramError::BlockMissing { .. }
-                    | OramError::Crashed { .. }),
-                ) => return Err(err),
-            }
-        }
-        Ok(())
+        store.verify_all().inspect_err(|err| {
+            let kind = fault_kind(err);
+            let bucket = err.bucket().map_or(u64::MAX, |b| b as u64);
+            self.obs.emit(|| ObsEvent::FaultDetected { kind, bucket });
+        })
     }
 }

@@ -1,9 +1,9 @@
 //! Stages 4 & 5: path write-back and background eviction.
 //!
-//! Greedily writes stash blocks back onto the just-read path, keeps the
-//! encrypted image coherent, and drains the stash with background
-//! (dummy) evictions — paper Section 2.4 — bounded per access so an
-//! eviction storm degrades throughput instead of livelocking.
+//! Greedily writes stash blocks back onto the just-read path, seals the
+//! off-chip buckets into the encrypted image, and drains the stash with
+//! background (dummy) evictions — paper Section 2.4 — bounded per access
+//! so an eviction storm degrades throughput instead of livelocking.
 
 use super::{PathOram, MAX_BACKGROUND_EVICTIONS_PER_ACCESS, MAX_EMERGENCY_EVICTIONS};
 use crate::addr::Leaf;
@@ -12,8 +12,9 @@ use crate::eviction::write_path_with;
 use proram_obs::{FaultKind, ObsEvent};
 
 impl PathOram {
-    /// Greedily writes stash blocks back to the path to `leaf` and
-    /// re-encrypts the touched buckets into the storage image.
+    /// Greedily writes stash blocks back to the path to `leaf`: resident
+    /// buckets in place, and every off-chip bucket serialized and
+    /// encrypted straight from the path scratch into the storage image.
     ///
     /// # Errors
     ///
@@ -22,14 +23,15 @@ impl PathOram {
     /// pre-crash bytes and [`PathOram::recover`] must run before the next
     /// access.
     pub fn write_path_from_stash(&mut self, leaf: Leaf) -> Result<(), OramError> {
-        if self.txn_open {
-            self.txn_touched.extend(self.tree.path_indices(leaf));
-        }
         write_path_with(&mut self.tree, &mut self.stash, leaf, &mut self.scratch);
         if let Some(store) = self.store.as_mut() {
-            let skip = (self.config.tree_levels() - self.config.off_chip_levels()) as usize;
-            for idx in self.tree.path_indices(leaf).skip(skip) {
-                store.write_bucket(self.layout.phys_of(idx), self.tree.bucket(idx));
+            let resident = self.tree.resident_buckets();
+            for (level, idx) in self.tree.path_indices(leaf).enumerate() {
+                if idx >= resident {
+                    let bucket = &mut self.scratch.path[level];
+                    store.write_bucket(self.layout.phys_of(idx), bucket);
+                    bucket.drain();
+                }
             }
         }
         self.store_crash_check()

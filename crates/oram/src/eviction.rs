@@ -11,13 +11,18 @@
 //! iterator owns its geometry (no collected `Vec`), bucket drains keep
 //! their slot storage, and write-back bins candidates into a reusable
 //! [`PathScratch`] instead of sorting a freshly allocated candidate list.
+//! Levels the tree does not hold (see [`OramTree::resident_buckets`]) go
+//! through the scratch's path buffer, which the controller fills by
+//! decrypting and empties by encrypting.
 
 use crate::addr::Leaf;
+use crate::bucket::Bucket;
 use crate::stash::Stash;
 use crate::tree::OramTree;
 
 /// Reusable write-back scratch: one bin of candidate addresses per tree
-/// level, keyed by the deepest level the candidate may occupy.
+/// level, keyed by the deepest level the candidate may occupy, and one
+/// bucket per level of the path in flight.
 ///
 /// Owned by the controller (one per ORAM) so the per-level bins are
 /// allocated once and reused for every path access. The counting-bin pass
@@ -30,6 +35,10 @@ pub struct PathScratch {
     /// `bins[level]` holds addresses of stash blocks whose deepest
     /// eligible level is `level`.
     bins: Vec<Vec<u64>>,
+    /// `path[level]` is the path's bucket at `level`: a decrypted or
+    /// placed off-chip bucket, or a resident one swapped in from the
+    /// tree while a write-back places blocks.
+    pub(crate) path: Vec<Bucket>,
     /// Allocations avoided by reusing this scratch (one per write-back
     /// that would have built a fresh candidate `Vec`).
     reuses: u64,
@@ -45,13 +54,39 @@ impl PathScratch {
     pub fn allocs_avoided(&self) -> u64 {
         self.reuses
     }
+
+    /// Sizes the bins and the path buffer for `tree`'s geometry.
+    pub(crate) fn fit(&mut self, tree: &OramTree) {
+        let levels = tree.levels() as usize;
+        self.bins.resize_with(levels.max(self.bins.len()), Vec::new);
+        self.path
+            .resize(levels.max(self.path.len()), Bucket::new(tree.z()));
+    }
+
+    /// Drops whatever the path buffer holds.
+    pub(crate) fn clear_path(&mut self) {
+        self.path.iter_mut().for_each(|bucket| drop(bucket.drain()));
+    }
+
+    /// Exchanges the tree's resident buckets on the path to `leaf` with
+    /// the path buffer; a second call swaps them back.
+    fn swap_resident(&mut self, tree: &mut OramTree, leaf: Leaf) {
+        let resident = tree.resident_buckets();
+        for (level, idx) in tree.path_indices(leaf).enumerate() {
+            if idx < resident {
+                std::mem::swap(&mut self.path[level], tree.bucket_mut(idx));
+            }
+        }
+    }
 }
 
-/// Moves every real block on the path to `leaf` into the stash.
+/// Moves every real block the tree holds on the path to `leaf` into the
+/// stash (the whole path unless the tree holds only a prefix).
 pub fn read_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) {
+    let resident = tree.resident_buckets();
     // The owned index iterator lets us mutate buckets mid-walk: no
     // temporary `Vec<usize>` of path indices.
-    for idx in tree.path_indices(leaf) {
+    for idx in tree.path_indices(leaf).filter(|&idx| idx < resident) {
         for block in tree.bucket_mut(idx).drain() {
             stash.insert(block);
         }
@@ -64,6 +99,8 @@ pub fn read_path(tree: &mut OramTree, stash: &mut Stash, leaf: Leaf) {
 /// the deepest level its own leaf shares with `leaf`; the greedy pass
 /// fills from the leaf level upward, deepest-eligible blocks first —
 /// the standard Path ORAM eviction. Returns the number of blocks placed.
+/// Blocks placed on a level the tree does not hold stay in `scratch`'s
+/// path buffer.
 ///
 /// Behavior (which blocks land in which buckets, and in what slot order)
 /// is identical to sorting all candidates by `(common_level, addr)`
@@ -75,21 +112,21 @@ pub fn write_path_with(
     scratch: &mut PathScratch,
 ) -> usize {
     let levels = tree.levels() as usize;
-    if scratch.bins.len() < levels {
-        scratch.bins.resize_with(levels, Vec::new);
-    }
+    scratch.fit(tree);
     scratch.reuses += 1;
-    for bin in &mut scratch.bins {
+    scratch.swap_resident(tree, leaf);
+    let (bins, path) = (&mut scratch.bins, &mut scratch.path);
+    for bin in bins.iter_mut() {
         bin.clear();
     }
     // Counting-bin pass: group candidates by the deepest level they can
     // occupy on this path.
     for b in stash.iter() {
-        scratch.bins[tree.common_level(b.leaf, leaf) as usize].push(b.addr.0);
+        bins[tree.common_level(b.leaf, leaf) as usize].push(b.addr.0);
     }
     // Within a bin, match the seed implementation's address-descending
     // tiebreak so placement is bit-identical.
-    for bin in &mut scratch.bins[..levels] {
+    for bin in &mut bins[..levels] {
         bin.sort_unstable_by(|a, b| b.cmp(a));
     }
 
@@ -99,31 +136,31 @@ pub fn write_path_with(
     // order.
     let mut bin = levels; // bins[bin - 1] is the current bin
     let mut off = 0;
-    for level in (0..levels).rev() {
-        let idx = tree.bucket_index(leaf, level as u32);
-        while !tree.bucket(idx).is_full() {
+    'levels: for level in (0..levels).rev() {
+        while !path[level].is_full() {
             // Advance to the next non-exhausted bin.
-            while bin > 0 && off >= scratch.bins[bin - 1].len() {
+            while bin > 0 && off >= bins[bin - 1].len() {
                 bin -= 1;
                 off = 0;
             }
             if bin == 0 {
-                return placed; // all candidates consumed
+                break 'levels; // all candidates consumed
             }
             let common = bin - 1;
             if common < level {
                 break; // everything left is shallower-only
             }
-            let addr = scratch.bins[common][off];
+            let addr = bins[common][off];
             off += 1;
             let block = stash
                 .take(proram_mem::BlockAddr(addr))
                 .expect("candidate vanished from stash");
             debug_assert!(tree.common_level(block.leaf, leaf) as usize >= level);
-            tree.bucket_mut(idx).push(block);
+            path[level].push(block);
             placed += 1;
         }
     }
+    scratch.swap_resident(tree, leaf);
     placed
 }
 

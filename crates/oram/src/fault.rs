@@ -265,6 +265,16 @@ impl FaultyStore {
         }
     }
 
+    /// Puts a journaled pre-transaction image back (a rollback): a fault
+    /// the transaction's write injected is erased with it, as masked.
+    pub(crate) fn restore(&mut self, index: usize, image: &[u8]) {
+        if self.pending[index].take().is_some() {
+            self.stats.masked_by_overwrite += 1;
+        }
+        let range = self.bucket_range(index);
+        self.data[range].copy_from_slice(image);
+    }
+
     /// Gate in front of one authenticated bucket read: draws transient
     /// failures and retries (with exponential backoff, charged to
     /// [`FaultStats::backoff_cycles`]) up to the retry budget.

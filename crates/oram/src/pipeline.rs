@@ -187,7 +187,7 @@ impl AccessMachine {
             AccessStage::DecryptVerify => {
                 self.emit_stage(oram, StageKind::DecryptVerify);
                 oram.crash_gate(KillPoint::DecryptVerify)?;
-                oram.verify_gate(self.old_leaf)?;
+                oram.decrypt_path(self.old_leaf)?;
                 self.stage = AccessStage::StashUpdate;
                 Ok(None)
             }

@@ -1,13 +1,16 @@
-//! The encrypted DRAM image.
+//! The encrypted DRAM image: the only home of every off-chip bucket.
 //!
-//! When [`crate::OramConfig::store_payloads`] is enabled, every bucket the
-//! controller writes is serialized — dummies and all, so every bucket's
-//! ciphertext has the same size and shape — encrypted under a fresh nonce,
-//! and stored in a flat byte array standing in for the untrusted DRAM.
-//! Reads decrypt and deserialize. This is the data path a real ORAM
-//! controller's crypto unit performs; the tests check round-tripping and
-//! that rewriting a bucket always changes its ciphertext (probabilistic
-//! encryption).
+//! When [`crate::OramConfig::store_payloads`] is enabled, the controller
+//! keeps no plaintext copy of the off-chip tree. A path read decrypts and
+//! authenticates each off-chip bucket into the controller's path
+//! scratch, and the write-back serializes the
+//! placed buckets — dummies and all, so every bucket's ciphertext has the
+//! same size and shape — and encrypts them under fresh nonces into a flat
+//! byte array standing in for the untrusted DRAM. Only the on-chip
+//! treetop stays plaintext, in [`crate::OramTree`]. This is the data path
+//! a real ORAM controller's crypto unit performs; the tests check
+//! round-tripping and that rewriting a bucket always changes its
+//! ciphertext (probabilistic encryption).
 //!
 //! # Authentication and rollback protection
 //!
@@ -15,13 +18,15 @@
 //! counter**, and a header MAC binding both to the bucket index — and each
 //! slot carries a PMMAC-style tag (after Freecursive ORAM \[8\]) over the
 //! slot's *entire raw bytes* (header fields and the full payload area,
-//! used or not) keyed by `(bucket index, version)`. The controller keeps
-//! the authoritative version of every bucket in trusted on-chip state
-//! ([`EncryptedStore`] itself models the trusted controller); a stored
-//! bucket that authenticates but carries an old version is a **rollback**
-//! ([`OramError::Rollback`]) — the replay of a previously valid ciphertext
-//! — which plain MACs cannot distinguish from fresh data. Anything that
-//! fails a MAC is **corruption** ([`OramError::Integrity`]).
+//! used or not) keyed by `(bucket index, version)`. The trusted version
+//! counter of every bucket lives in [`EncryptedStore`] (it models the
+//! controller's on-chip counters; the byte image is the untrusted part).
+//! A stored bucket that authenticates but carries an old version is a
+//! **rollback** ([`OramError::Rollback`]) — the replay of a previously
+//! valid ciphertext — which plain MACs cannot distinguish from fresh
+//! data. Anything that fails a MAC is **corruption**
+//! ([`OramError::Integrity`]). Neither can be repaired: there is no other
+//! copy of the bucket, so the controller fail-stops the access.
 //!
 //! The byte backing is either plain memory or a [`FaultyStore`] that
 //! injects seeded faults (bit flips, torn writes, rollbacks, transient
@@ -92,6 +97,16 @@ impl Backing {
             f.commit_write(index);
         }
     }
+
+    /// Puts a journaled pre-transaction image back (a rollback).
+    fn restore(&mut self, index: usize, image: &[u8]) {
+        match self {
+            Backing::Plain(d) => {
+                d[index * image.len()..(index + 1) * image.len()].copy_from_slice(image);
+            }
+            Backing::Faulty(f) => f.restore(index, image),
+        }
+    }
 }
 
 /// The encrypted bucket store.
@@ -122,6 +137,8 @@ pub struct EncryptedStore {
     /// write is dropped until [`Self::recover_txn`] clears the state,
     /// exactly as if the process had exited mid-access.
     fired: Option<KillPoint>,
+    /// Reusable decrypt buffer of [`Self::read_bucket_into`].
+    plain: Vec<u8>,
 }
 
 /// What [`EncryptedStore::recover_txn`] did with the open journal; the
@@ -136,7 +153,7 @@ pub(crate) struct StoreRecovery {
     /// The sealed checkpoint to adopt (A on rollback, B on replay).
     pub checkpoint: Vec<u8>,
     /// Bucket indices touched by the transaction's journal, in first-write
-    /// order — the set whose tree mirror must be rebuilt and re-verified.
+    /// order — the set recovery re-authenticates.
     pub touched: Vec<usize>,
     /// Undo entries the journal held.
     pub entries: usize,
@@ -173,6 +190,7 @@ impl EncryptedStore {
             journal: None,
             crash: None,
             fired: None,
+            plain: Vec::new(),
         }
     }
 
@@ -341,10 +359,8 @@ impl EncryptedStore {
             // Rollback: restore the pre-transaction image and trusted
             // version of every touched bucket, newest-first so a bucket
             // journaled once is restored exactly once either way.
-            let bb = self.bucket_bytes();
             for e in journal.entries.iter().rev() {
-                self.backing.bytes_mut()[e.index * bb..(e.index + 1) * bb]
-                    .copy_from_slice(&e.image);
+                self.backing.restore(e.index, &e.image);
                 self.versions[e.index] = e.version;
             }
             Some(StoreRecovery {
@@ -455,53 +471,72 @@ impl EncryptedStore {
     /// image as [`OramError::Rollback`], and a transient read failure that
     /// exhausted its retry budget as [`OramError::Transient`].
     pub fn try_read_bucket(&mut self, index: usize) -> Result<Vec<Block>, OramError> {
-        let mut plain = Vec::new();
-        let version = self.authenticated_plain(index, &mut plain)?;
-        let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        let mut blocks = Vec::new();
-        for i in 0..self.z {
-            let slot = &plain[i * slot_bytes..(i + 1) * slot_bytes];
-            match Self::deserialize_block(slot, &self.mac, index as u64, version) {
-                Ok(Some(b)) => blocks.push(b),
-                Ok(None) => {}
-                Err(()) => {
-                    let err = OramError::Integrity {
-                        bucket: index,
-                        slot: Some(i),
-                    };
-                    self.note_detected(index, &err);
-                    return Err(err);
-                }
-            }
-        }
-        self.note_clean_read(index);
-        Ok(blocks)
+        let mut out = Bucket::new(self.z);
+        self.read_bucket_into(index, &mut out)?;
+        Ok(out.drain().collect())
     }
 
-    /// Runs the transient-read gate, authenticates bucket `index`'s header
-    /// against the trusted version counter, and decrypts the body into the
-    /// caller's reusable buffer. Returns the authenticated version.
-    fn authenticated_plain(&mut self, index: usize, plain: &mut Vec<u8>) -> Result<u64, OramError> {
+    /// Reads, decrypts, authenticates and deserializes bucket `index` into
+    /// `out`, replacing its contents. On error `out` is left empty.
+    ///
+    /// # Errors
+    ///
+    /// Same classification as [`EncryptedStore::try_read_bucket`].
+    pub(crate) fn read_bucket_into(
+        &mut self,
+        index: usize,
+        out: &mut Bucket,
+    ) -> Result<(), OramError> {
         if let Backing::Faulty(f) = &mut self.backing {
             if let Err(attempts) = f.read_gate() {
+                out.drain();
                 return Err(OramError::Transient {
                     bucket: index,
                     attempts,
                 });
             }
         }
+        let mut plain = std::mem::take(&mut self.plain);
+        let result = self.open(index, &mut plain, out);
+        self.plain = plain;
+        if let Backing::Faulty(f) = &mut self.backing {
+            match &result {
+                Ok(()) => f.note_clean_read(index),
+                Err(err) => f.note_detected(index, err),
+            }
+        }
+        result
+    }
+
+    /// Authenticates and decodes bucket `index` without the transient-read
+    /// gate or any detection bookkeeping: a read-only look at the image
+    /// for auditors, digests and crash recovery.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Integrity`] or [`OramError::Rollback`], as for
+    /// [`EncryptedStore::try_read_bucket`].
+    pub(crate) fn peek_bucket(&self, index: usize) -> Result<Vec<Block>, OramError> {
+        let mut out = Bucket::new(self.z);
+        self.open(index, &mut Vec::new(), &mut out)?;
+        Ok(out.drain().collect())
+    }
+
+    /// Authenticates bucket `index`'s header against the trusted version
+    /// counter, decrypts the body into `plain` and decodes every slot into
+    /// `out` (emptied first, and again on error).
+    fn open(&self, index: usize, plain: &mut Vec<u8>, out: &mut Bucket) -> Result<(), OramError> {
+        out.drain();
         let bb = self.bucket_bytes();
         let raw = &self.backing.bytes()[index * bb..(index + 1) * bb];
         let nonce = u64::from_le_bytes(raw[0..8].try_into().expect("nonce"));
         let version = u64::from_le_bytes(raw[8..16].try_into().expect("version"));
         let stored_tag = u64::from_le_bytes(raw[16..24].try_into().expect("header tag"));
         if stored_tag != self.mac.tag(&[index as u64, nonce, version], &[]) {
-            let err = OramError::Integrity {
+            return Err(OramError::Integrity {
                 bucket: index,
                 slot: None,
-            };
-            self.note_detected(index, &err);
-            return Err(err);
+            });
         }
         let expected = self.versions[index];
         if version != expected {
@@ -509,7 +544,7 @@ impl EncryptedStore {
             // for this bucket: an old version is a replayed stale image.
             // (A version ahead of the trusted counter cannot be produced
             // by replay; classify it as corruption defensively.)
-            let err = if version < expected {
+            return Err(if version < expected {
                 OramError::Rollback {
                     bucket: index,
                     stored_version: version,
@@ -520,65 +555,27 @@ impl EncryptedStore {
                     bucket: index,
                     slot: None,
                 }
-            };
-            self.note_detected(index, &err);
-            return Err(err);
+            });
         }
         plain.clear();
         plain.extend_from_slice(&raw[BUCKET_HEADER_BYTES..]);
         if nonce != 0 {
             self.cipher.decrypt(nonce, plain);
         }
-        Ok(version)
-    }
-
-    fn note_detected(&mut self, index: usize, err: &OramError) {
-        if let Backing::Faulty(f) = &mut self.backing {
-            f.note_detected(index, err);
-        }
-    }
-
-    fn note_clean_read(&mut self, index: usize) {
-        if let Backing::Faulty(f) = &mut self.backing {
-            f.note_clean_read(index);
-        }
-    }
-
-    /// Authenticates bucket `index` and appends the address of every real
-    /// block it holds to `addrs`, without reconstructing payloads.
-    ///
-    /// `plain` is a caller-owned scratch buffer reused across calls, so
-    /// the per-bucket verification the controller performs in
-    /// [`verify_image` mode](crate::OramConfig::verify_image) allocates
-    /// nothing.
-    ///
-    /// # Errors
-    ///
-    /// Same classification as [`EncryptedStore::try_read_bucket`].
-    pub fn bucket_addrs_into(
-        &mut self,
-        index: usize,
-        plain: &mut Vec<u8>,
-        addrs: &mut Vec<u64>,
-    ) -> Result<(), OramError> {
-        let version = self.authenticated_plain(index, plain)?;
         let slot_bytes = SLOT_HEADER_BYTES + self.payload_bytes;
-        for i in 0..self.z {
-            let slot = &plain[i * slot_bytes..(i + 1) * slot_bytes];
-            match Self::check_slot(slot, &self.mac, index as u64, version) {
-                Ok(Some((addr, ..))) => addrs.push(addr.0),
+        for (i, slot) in plain.chunks_exact(slot_bytes).take(self.z).enumerate() {
+            match Self::deserialize_block(slot, &self.mac, index as u64, version) {
+                Ok(Some(b)) => out.push(b),
                 Ok(None) => {}
                 Err(()) => {
-                    let err = OramError::Integrity {
+                    out.drain();
+                    return Err(OramError::Integrity {
                         bucket: index,
                         slot: Some(i),
-                    };
-                    self.note_detected(index, &err);
-                    return Err(err);
+                    });
                 }
             }
         }
-        self.note_clean_read(index);
         Ok(())
     }
 
@@ -1055,31 +1052,6 @@ mod tests {
         );
         // The source bucket itself still verifies.
         assert!(s.try_read_bucket(0).is_ok());
-    }
-
-    #[test]
-    fn addr_only_reads_match_full_reads() {
-        let mut s = store();
-        let mut b = Bucket::new(3);
-        b.push(data_block(5, 0x01));
-        b.push(data_block(9, 0x02));
-        s.write_bucket(6, &b);
-        let mut plain = Vec::new();
-        let mut addrs = Vec::new();
-        s.bucket_addrs_into(6, &mut plain, &mut addrs).unwrap();
-        let mut full: Vec<u64> = s
-            .try_read_bucket(6)
-            .expect("authentic bucket")
-            .iter()
-            .map(|b| b.addr.0)
-            .collect();
-        addrs.sort_unstable();
-        full.sort_unstable();
-        assert_eq!(addrs, full);
-        // Tampering is detected on the addr-only path too.
-        s.corrupt_byte(6, 40, 0x10);
-        addrs.clear();
-        assert!(s.bucket_addrs_into(6, &mut plain, &mut addrs).is_err());
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! A complete binary tree of [`Bucket`]s in heap layout: level 0 is the
 //! root, level `L` the leaves (paper Figure 1). The path to leaf `s` is the
 //! set of buckets whose level-`l` ancestor index matches `s`'s.
+//! The tree may hold only a heap-order prefix of its buckets (the on-chip
+//! treetop, when the rest live only in [`crate::EncryptedStore`]).
 
 use crate::addr::Leaf;
 use crate::bucket::Bucket;
@@ -22,6 +24,7 @@ use crate::bucket::Bucket;
 pub struct OramTree {
     levels: u32,
     z: usize,
+    /// The resident buckets: heap indices `0..buckets.len()`.
     buckets: Vec<Bucket>,
 }
 
@@ -34,10 +37,16 @@ impl OramTree {
     /// Panics if `levels` is zero or large enough to overflow leaf labels
     /// (more than 31), or `z` is zero.
     pub fn new(levels: u32, z: usize) -> Self {
+        Self::with_resident(levels, z, usize::MAX)
+    }
+
+    /// [`OramTree::new`] holding only the first `resident` buckets in
+    /// heap order (all of them if `resident` exceeds the bucket count).
+    pub(crate) fn with_resident(levels: u32, z: usize, resident: usize) -> Self {
         assert!((1..=31).contains(&levels), "levels must be in 1..=31");
         assert!(z > 0, "Z must be positive");
         let num_buckets = (1usize << levels) - 1;
-        let buckets = vec![Bucket::new(z); num_buckets];
+        let buckets = vec![Bucket::new(z); num_buckets.min(resident)];
         OramTree { levels, z, buckets }
     }
 
@@ -59,6 +68,11 @@ impl OramTree {
 
     /// Number of buckets, `2^levels - 1`.
     pub fn num_buckets(&self) -> usize {
+        (1usize << self.levels) - 1
+    }
+
+    /// Number of buckets held: heap indices below this are resident.
+    pub fn resident_buckets(&self) -> usize {
         self.buckets.len()
     }
 
@@ -99,12 +113,12 @@ impl OramTree {
         }
     }
 
-    /// Borrows the bucket at a heap index.
+    /// Borrows the (resident) bucket at a heap index.
     pub fn bucket(&self, index: usize) -> &Bucket {
         &self.buckets[index]
     }
 
-    /// Mutably borrows the bucket at a heap index.
+    /// Mutably borrows the (resident) bucket at a heap index.
     pub fn bucket_mut(&mut self, index: usize) -> &mut Bucket {
         &mut self.buckets[index]
     }
@@ -124,7 +138,7 @@ impl OramTree {
         }
     }
 
-    /// Number of real blocks currently stored in the tree.
+    /// Number of real blocks currently held in the resident buckets.
     pub fn occupancy(&self) -> usize {
         self.buckets.iter().map(Bucket::len).sum()
     }
@@ -289,6 +303,15 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_leaf_panics() {
         OramTree::new(3, 2).bucket_index(Leaf(4), 0);
+    }
+
+    #[test]
+    fn partial_tree_keeps_the_geometry() {
+        let t = OramTree::with_resident(4, 3, 3);
+        assert_eq!(t.num_buckets(), 15);
+        assert_eq!(t.resident_buckets(), 3);
+        assert_eq!(t.num_leaves(), 8);
+        assert_eq!(OramTree::new(4, 3).resident_buckets(), 15);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Behavior-identity goldens for the allocation-free hot path.
 //!
 //! The hot-path optimizations (reusable path scratch, counting-bucket
-//! write-back, wide stream-cipher XOR, gated image verification) must
+//! write-back, wide stream-cipher XOR) must
 //! not change *what* the ORAM does — only how fast. These tests replay
 //! the fixed-seed workload from the shared `common` fixture and compare
 //! every observable of the run against goldens captured on the seed
@@ -13,13 +13,11 @@
 mod common;
 
 use common::{
-    assert_golden, fnv, golden_config, replay, replay_cfg, replay_observed, FNV_INIT,
-    GOLDEN_OPAQUE, GOLDEN_PAYLOADS,
+    assert_golden, golden_config, replay, replay_cfg, replay_observed, GOLDEN_OPAQUE,
+    GOLDEN_PAYLOADS,
 };
-use proram_mem::{AccessKind, BlockAddr};
 use proram_obs::{NoopSink, Obs};
-use proram_oram::{FaultConfig, OramConfig, PathOram};
-use proram_stats::{Rng64, Xoshiro256};
+use proram_oram::FaultConfig;
 
 #[test]
 fn golden_run_with_payloads() {
@@ -64,31 +62,4 @@ fn goldens_unchanged_with_ring_sink_attached() {
     assert_golden(&d, &GOLDEN_OPAQUE);
     // The sink really was live for the whole replay.
     assert!(obs.event_count() > 0 || obs.dropped() > 0);
-}
-
-/// The gated per-read image verification must not change behavior when
-/// enabled — it re-derives what the opaque path already computed.
-#[test]
-fn verify_image_is_observationally_silent() {
-    let run = |verify_image: bool| {
-        let cfg = OramConfig::small_for_tests(256)
-            .to_builder()
-            .store_payloads(true)
-            .verify_image(verify_image)
-            .build()
-            .expect("valid golden configuration");
-        let mut oram = PathOram::new(cfg, 42);
-        let mut rng = Xoshiro256::seed_from(7);
-        for _ in 0..500 {
-            oram.try_access_block(BlockAddr(rng.next_below(256)), AccessKind::Read)
-                .unwrap();
-        }
-        let leaves = oram.trace().observed_leaves();
-        let mut h = FNV_INIT;
-        for l in &leaves {
-            h = fnv(h, *l);
-        }
-        (oram.oram_stats().bytes_moved, h)
-    };
-    assert_eq!(run(false), run(true));
 }

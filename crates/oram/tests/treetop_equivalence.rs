@@ -13,11 +13,10 @@
 mod common;
 
 use common::{
-    assert_golden, golden_config, replay_cfg, RunDigest, ACCESSES, GOLDEN_PAYLOADS, ORAM_SEED,
-    TREE_BLOCKS,
+    assert_golden, golden_config, replay_cfg, RunDigest, GOLDEN_PAYLOADS, ORAM_SEED, TREE_BLOCKS,
 };
 use proram_mem::{AccessKind, BlockAddr};
-use proram_oram::{FaultClass, FaultConfig, OramConfig, PathOram, TreeLayout};
+use proram_oram::{OramConfig, PathOram, TreeLayout};
 use proram_stats::{Rng64, Xoshiro256};
 
 /// Tree levels of the golden 256-block configuration.
@@ -120,48 +119,14 @@ fn store_holds_only_off_chip_buckets() {
     }
 }
 
-/// Fault sweep with a nonzero treetop: injected store corruption lands
-/// only on off-chip buckets, the verify/repair machinery still detects
-/// and recovers everything, and no false negatives appear.
-#[test]
-fn fault_sweep_recovers_with_nonzero_treetop() {
-    for class in [
-        FaultClass::BitFlip,
-        FaultClass::TornWrite,
-        FaultClass::Rollback,
-    ] {
-        let cfg = treetop_config(2, TreeLayout::SubtreePacked { height: 3 })
-            .to_builder()
-            .fault(FaultConfig::single(class, 0.05, 0xF00D))
-            .build()
-            .expect("valid faulty treetop configuration");
-        let mut oram = PathOram::new(cfg, ORAM_SEED);
-        let mut rng = Xoshiro256::seed_from(9);
-        for _ in 0..ACCESSES / 4 {
-            oram.try_access_block(BlockAddr(rng.next_below(TREE_BLOCKS)), AccessKind::Read)
-                .expect("injected faults must be recovered");
-        }
-        let f = oram.fault_stats();
-        assert!(f.total_injected() > 0, "{}: nothing injected", class.name());
-        assert_eq!(f.undetected, 0, "{}: false negatives", class.name());
-        assert!(f.recovered > 0, "{}: nothing repaired", class.name());
-        oram.audit_full();
-    }
-}
-
-/// The golden run with `treetop_levels = 2` and every off-chip bucket
-/// authenticated on every read (`verify_image`) reproduces a pinned
+/// The golden run with `treetop_levels = 2`, where every off-chip bucket
+/// is decrypted and authenticated on every read, reproduces a pinned
 /// whole digest: the on-chip levels skip decryption without changing
 /// any observable but the byte accounting (6/8 of the uncached path).
 #[test]
 fn treetop_two_with_verified_image_matches_its_pinned_digest() {
-    let cfg = treetop_config(2, TreeLayout::Flat)
-        .to_builder()
-        .verify_image(true)
-        .build()
-        .expect("valid treetop configuration");
     assert_eq!(
-        replay_cfg(cfg),
+        replay_cfg(treetop_config(2, TreeLayout::Flat)),
         RunDigest {
             logical: 2000,
             data_paths: 2000,
