@@ -116,15 +116,16 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A deterministic crash (kill) point inside an ORAM access, mirroring
-/// the controller's kill-point taxonomy without depending on the ORAM
-/// crate.
+/// One enumerable point where a simulated process death can strike
+/// inside an ORAM access (the ORAM crate re-exports it as
+/// `proram_oram::KillPoint`).
 ///
 /// The first six variants are the entries of the staged access pipeline;
-/// the last two sit inside the storage commit protocol: while undo
-/// entries are being journaled and during the MAC-bound epoch flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
+/// the last two live inside the storage commit protocol, where a real
+/// crash is most damaging: while undo entries are being journaled and
+/// during the MAC-bound epoch flip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum KillPoint {
     /// Entering the position-map walk.
     ResolvePosmap,
     /// Entering the data-path fetch.
@@ -137,29 +138,44 @@ pub enum CrashPoint {
     WriteBack,
     /// Entering background eviction.
     Evict,
-    /// While appending an undo entry to the commit journal.
+    /// While appending an undo entry to the commit journal: the entry is
+    /// durable, the home bucket write it guards never happens.
     MidJournal,
-    /// During the epoch flip (after the flip, before the journal clears).
+    /// During the epoch flip: the epoch header has advanced but the
+    /// journal has not yet been discarded, so recovery must *replay*
+    /// (keep the committed image) instead of rolling back.
     MidFlip,
 }
 
-impl CrashPoint {
-    /// Stable snake_case name used in JSONL traces.
+impl KillPoint {
+    /// Every kill point, in pipeline-then-commit order.
+    pub const ALL: [KillPoint; 8] = [
+        KillPoint::ResolvePosmap,
+        KillPoint::PathFetch,
+        KillPoint::DecryptVerify,
+        KillPoint::StashUpdate,
+        KillPoint::WriteBack,
+        KillPoint::Evict,
+        KillPoint::MidJournal,
+        KillPoint::MidFlip,
+    ];
+
+    /// Stable snake_case name used in reports and JSONL traces.
     pub fn name(self) -> &'static str {
         match self {
-            CrashPoint::ResolvePosmap => "resolve_posmap",
-            CrashPoint::PathFetch => "path_fetch",
-            CrashPoint::DecryptVerify => "decrypt_verify",
-            CrashPoint::StashUpdate => "stash_update",
-            CrashPoint::WriteBack => "write_back",
-            CrashPoint::Evict => "evict",
-            CrashPoint::MidJournal => "mid_journal",
-            CrashPoint::MidFlip => "mid_flip",
+            KillPoint::ResolvePosmap => "resolve_posmap",
+            KillPoint::PathFetch => "path_fetch",
+            KillPoint::DecryptVerify => "decrypt_verify",
+            KillPoint::StashUpdate => "stash_update",
+            KillPoint::WriteBack => "write_back",
+            KillPoint::Evict => "evict",
+            KillPoint::MidJournal => "mid_journal",
+            KillPoint::MidFlip => "mid_flip",
         }
     }
 }
 
-impl fmt::Display for CrashPoint {
+impl fmt::Display for KillPoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
     }
@@ -296,7 +312,7 @@ pub enum ObsEvent {
     /// the process died at this point.
     CrashInject {
         /// Where the simulated death struck.
-        point: CrashPoint,
+        point: KillPoint,
         /// Which crossing of the point fired (1-based).
         crossing: u64,
     },
@@ -572,7 +588,7 @@ mod tests {
                 at: 2000,
             },
             ObsEvent::CrashInject {
-                point: CrashPoint::MidFlip,
+                point: KillPoint::MidFlip,
                 crossing: 1,
             },
             ObsEvent::JournalCommit {

@@ -48,7 +48,7 @@ mod profile;
 mod registry;
 mod sink;
 
-pub use event::{rate_to_ppm, CrashPoint, FaultKind, ObsEvent, StageKind};
+pub use event::{rate_to_ppm, FaultKind, KillPoint, ObsEvent, StageKind};
 pub use profile::StageProfile;
 pub use registry::{log2_bucket, MetricsRegistry};
 pub use sink::{CycleScope, NoopSink, Obs, ObsSink, RingSink};

@@ -58,17 +58,18 @@ pub trait OramBackend {
     ///
     /// # Errors
     ///
-    /// Returns [`OramError::Crashed`] when a store-level crash kill point
-    /// fired during the write-back (the write is dropped and the caller
-    /// must run recovery); backends without crash injection always return
-    /// `Ok`.
+    /// Returns [`OramError::Crashed`] when a crash kill point fired
+    /// during the write-back (nothing is written after it and the caller
+    /// must run [`OramBackend::recover_txn`]); backends without crash
+    /// injection always return `Ok`.
     fn write_path_from_stash(&mut self, leaf: Leaf) -> Result<(), OramError>;
 
     /// Opens the crash-consistent commit transaction of one composite
     /// access (DESIGN.md section 15), so the scheme layer's multi-path
     /// accesses roll back or replay as one unit. No-op for backends
     /// without a commit protocol (the default) and for backends whose
-    /// crash injection is disabled.
+    /// crash injection is disabled. The previous transaction must have
+    /// committed or been recovered.
     fn txn_begin(&mut self) {}
 
     /// Commits the transaction opened by [`OramBackend::txn_begin`].
@@ -76,16 +77,18 @@ pub trait OramBackend {
     /// # Errors
     ///
     /// [`OramError::Crashed`] when a kill point fires inside the commit;
-    /// the caller must run [`OramBackend::recover_crash`].
+    /// the caller must run [`OramBackend::recover_txn`].
     fn txn_commit(&mut self) -> Result<(), OramError> {
         Ok(())
     }
 
-    /// Recovers after an access returned [`OramError::Crashed`]: the
-    /// backend restores its last consistent state and reports what
-    /// recovery did. `None` (the default) means the backend has no commit
-    /// protocol and the caller must treat the crash as unrecovered.
-    fn recover_crash(&mut self) -> Option<RecoveryReport> {
+    /// Closes the transaction of an access that failed inside it — a
+    /// crash, or a fail-stop the caller rolls back at once: the backend
+    /// restores its last consistent state and reports what recovery did.
+    /// `None` (the default) means no transaction was open — always so for
+    /// a backend without a commit protocol — and the caller must treat the
+    /// failure as unrecovered.
+    fn recover_txn(&mut self) -> Option<RecoveryReport> {
         None
     }
 

@@ -75,13 +75,10 @@ pub struct OramConfig {
     pub stash_limit: usize,
     /// PLB capacity in posmap blocks.
     pub plb_blocks: usize,
-    /// Override for the number of tree levels; `None` sizes the tree so
-    /// total blocks occupy about a third of the slots (Z=3).
-    pub levels_override: Option<u32>,
     /// Use a tree one level shorter than the default sizing, doubling
     /// occupancy (~2/3 of slots at Z=3). Denser trees shorten paths but
     /// raise background-eviction pressure — the trade-off explored in
-    /// \[25\]. Ignored when `levels_override` is set.
+    /// \[25\].
     pub dense_tree: bool,
     /// Number of levels at the top of the tree held in on-chip SRAM
     /// (*treetop caching*, part of the design space of the paper's
@@ -179,7 +176,6 @@ impl OramConfig {
             on_tree_hierarchies: 2,
             stash_limit: 50,
             plb_blocks: 8,
-            levels_override: None,
             timing: OramTiming::default(),
             store_payloads: true,
             trace_capacity: 1 << 16,
@@ -204,14 +200,10 @@ impl OramConfig {
         )
     }
 
-    /// Number of tree levels: the override, or a tree whose slot count is
-    /// roughly `3x` the block count (leaves = next power of two of half
-    /// the blocks), matching the occupancy regime of the paper's baseline
-    /// \[25\].
+    /// Number of tree levels: a tree whose slot count is roughly `3x` the
+    /// block count (leaves = next power of two of half the blocks),
+    /// matching the occupancy regime of the paper's baseline \[25\].
     pub fn tree_levels(&self) -> u32 {
-        if let Some(l) = self.levels_override {
-            return l;
-        }
         let total = self.address_space().total_tree_blocks();
         let half = (total / 2).max(2);
         // Round *down* to a power of two: with Z = 3 this puts occupancy a
@@ -310,7 +302,7 @@ impl OramConfig {
         let leaves = 1u64 << (levels - 1);
         if leaves > u64::from(u32::MAX) {
             return Err(ConfigError::new(
-                "levels_override",
+                "num_data_blocks",
                 "leaf labels overflow u32",
             ));
         }
@@ -523,12 +515,6 @@ impl OramConfigBuilder {
         self
     }
 
-    /// Overrides the number of tree levels.
-    pub fn levels_override(mut self, levels: u32) -> Self {
-        self.cfg.levels_override = Some(levels);
-        self
-    }
-
     /// Uses a tree one level shorter than the default sizing.
     pub fn dense_tree(mut self, dense: bool) -> Self {
         self.cfg.dense_tree = dense;
@@ -636,7 +622,6 @@ impl Default for OramConfig {
             on_tree_hierarchies: 2,
             stash_limit: 100,
             plb_blocks: 64,
-            levels_override: None,
             timing: OramTiming::paper_calibrated(),
             store_payloads: false,
             trace_capacity: 0,
@@ -682,19 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn levels_override_respected() {
-        let cfg = OramConfig {
-            levels_override: Some(22),
-            ..OramConfig::default()
-        };
-        assert_eq!(cfg.tree_levels(), 22);
-    }
-
-    #[test]
     #[should_panic(expected = "tree too small")]
     fn undersized_tree_rejected() {
+        // The default sizing leaves about three slots per block; one slot
+        // per bucket is too few.
         let cfg = OramConfig {
-            levels_override: Some(5),
+            z: 1,
             ..OramConfig::default()
         };
         cfg.validate();

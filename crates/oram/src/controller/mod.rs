@@ -18,7 +18,8 @@
 //! same stage primitives ([`PathOram::try_resolve_posmap`],
 //! [`PathOram::try_read_path_into_stash`],
 //! [`PathOram::write_path_from_stash`], entry accessors) into grouped
-//! accesses.
+//! accesses. That layer is the only memory-system driver over Path ORAM:
+//! the simulator never calls [`PathOram`] directly.
 //!
 //! # Fault handling
 //!
@@ -38,6 +39,18 @@
 //! exactly as before the call. A stash past its hard capacity enters
 //! emergency eviction before it fail-stops. Counters live in
 //! [`proram_mem::FaultStats`], surfaced via [`PathOram::fault_stats`].
+//!
+//! # Commit protocol and crash injection
+//!
+//! The [`EncryptedStore`] owns all commit-transaction state: a
+//! transaction is open exactly while the store's undo journal is, and the
+//! one crash arm of [`OramConfig::crash`] lives there too. A kill fires
+//! inside the one store call that crosses it — a pipeline-stage gate, the
+//! undo journaling of a bucket write (`MidJournal`) or the epoch flip
+//! (`MidFlip`) — and that call returns [`OramError::Crashed`]. The
+//! controller counts and emits it in one place and propagates it with
+//! `?`, so nothing is written after a kill; [`PathOram::recover`] then
+//! rolls the journal back or replays it.
 
 pub(crate) mod fetch;
 pub(crate) mod posmap;
@@ -48,7 +61,7 @@ use crate::addr::{AddressSpace, Leaf};
 use crate::block::{Block, Payload};
 use crate::bucket::Bucket;
 use crate::config::OramConfig;
-use crate::crash::{CrashArm, CrashStats, KillPoint, RecoveryMode, RecoveryReport};
+use crate::crash::{CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 use crate::error::OramError;
 use crate::eviction::PathScratch;
 use crate::journal::Checkpoint;
@@ -60,10 +73,7 @@ use crate::stash::Stash;
 use crate::storage::EncryptedStore;
 use crate::trace::TraceRecorder;
 use crate::tree::OramTree;
-use proram_mem::{
-    AccessKind, AccessOutcome, BackendStats, BankScheduler, BlockAddr, CacheProbe, Cycle,
-    FaultStats, Fill, MemRequest, MemoryBackend,
-};
+use proram_mem::{AccessKind, BankScheduler, BlockAddr, FaultStats};
 use proram_obs::Obs;
 use proram_stats::{Rng64, Xoshiro256};
 
@@ -208,13 +218,11 @@ pub struct PathOram {
     /// [`StoreLayout::treetop_buckets`] heap buckets live on chip and
     /// have no store image.
     pub(crate) layout: StoreLayout,
-    pub(crate) busy_until: Cycle,
-    pub(crate) label: String,
     /// Reusable path scratch: write-back bins plus the decrypted off-chip
     /// buckets of the path in flight (see [`PathScratch`]).
     pub(crate) scratch: PathScratch,
-    /// Fault counters owned by the controller (unserved requests,
-    /// emergency evictions, scrub passes); the injector's own counters
+    /// Fault counters owned by the controller (emergency evictions,
+    /// scrub passes); the injector's own counters
     /// live in the store and the two are summed by
     /// [`PathOram::fault_stats`].
     pub(crate) ctrl_faults: FaultStats,
@@ -223,17 +231,8 @@ pub struct PathOram {
     /// Observability handle (events + per-stage profile); disabled by
     /// default so the hot path stays allocation- and branch-free.
     pub(crate) obs: Obs,
-    /// Countdown arm for the six pipeline-stage kill points; the three
-    /// store-level points are armed on the store instead
-    /// ([`KillPoint::is_store_point`]).
-    pub(crate) crash: Option<CrashArm>,
-    /// Whether a commit transaction is open (between [`PathOram::txn_begin`]
-    /// and the matching commit or recovery).
-    pub(crate) txn_open: bool,
-    /// `true` once the crash of the open transaction was counted and
-    /// emitted (store-level crashes surface through several callers).
-    pub(crate) crash_surfaced: bool,
-    /// Cumulative crash-injection and recovery counters.
+    /// Cumulative crash-injection and recovery counters. The commit
+    /// transaction itself, and the crash arm, live in the store.
     pub(crate) crash_stats: CrashStats,
 }
 
@@ -363,25 +362,19 @@ impl PathOram {
                 while let Some(&(_, addr)) = next.next_if(|&&(home, _)| home == idx) {
                     bucket.push(block(addr));
                 }
-                store.write_bucket(layout.phys_of(idx), &bucket);
+                store
+                    .write_bucket(layout.phys_of(idx), &bucket)
+                    .expect("no kill point is armed during initialization");
                 bucket.drain();
             }
         }
         // Crash injection arms after initialization: init traffic is not a
-        // transaction and must never trip a kill point. Store-level points
-        // live on the store (only it sees those crossings); pipeline-stage
-        // points live on the controller.
-        let mut crash = None;
+        // transaction and must never trip a kill point.
         if let Some(cfg) = config.crash {
-            let arm = CrashArm::new(cfg);
-            if cfg.point.is_store_point() {
-                store
-                    .as_mut()
-                    .expect("config validation requires store_payloads")
-                    .arm_crash(Some(arm));
-            } else {
-                crash = Some(arm);
-            }
+            store
+                .as_mut()
+                .expect("config validation requires store_payloads")
+                .arm_crash(cfg);
         }
 
         let trace = if config.trace_capacity > 0 {
@@ -425,15 +418,10 @@ impl PathOram {
             path_bytes,
             treetop_saved_bytes,
             layout,
-            busy_until: 0,
-            label: "oram".to_owned(),
             scratch,
             ctrl_faults: FaultStats::default(),
             reads_since_scrub: 0,
             obs: Obs::disabled(),
-            crash,
-            txn_open: false,
-            crash_surfaced: false,
             crash_stats: CrashStats::default(),
         }
     }
@@ -568,7 +556,7 @@ impl PathOram {
     }
 
     // ------------------------------------------------------------------
-    // High-level access (the `oram` baseline)
+    // High-level access (the single-block kernel)
     // ------------------------------------------------------------------
 
     /// Performs one logical access to data block `addr` following the
@@ -632,7 +620,7 @@ impl PathOram {
         if let Err(err) = &result {
             // Fail-stop: a crash is left to the caller's `recover`, any
             // other error rolls the open transaction back at once.
-            if self.txn_open && !matches!(err, OramError::Crashed { .. }) {
+            if self.in_txn() && !matches!(err, OramError::Crashed { .. }) {
                 self.recover();
             }
         }
@@ -727,53 +715,46 @@ impl PathOram {
     /// and starts first-touch undo journaling. No-op without
     /// [`OramConfig::crash`] or [`OramConfig::fault`] — the protocol costs
     /// nothing when no injector is armed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction is still open: a crashed access must be
+    /// recovered ([`PathOram::recover`]) before the next one begins.
     pub(crate) fn txn_begin(&mut self) {
         if self.config.crash.is_none() && self.config.fault.is_none() {
             return;
-        }
-        if self.txn_open {
-            // The previous access unwound mid-transaction with a
-            // non-crash error (e.g. a stash-overflow fail-stop) and was
-            // never recovered: roll it back so the new transaction opens
-            // on consistent state instead of tripping the store's
-            // open-journal assertion.
-            self.recover();
         }
         let checkpoint_a = self.seal_checkpoint();
         self.store
             .as_mut()
             .expect("the commit protocol requires store_payloads")
             .begin_txn(checkpoint_a);
-        self.txn_open = true;
-        self.crash_surfaced = false;
     }
 
-    /// Commits the open transaction: seals checkpoint B and asks the
-    /// store to flip the epoch and discard the journal.
+    /// Commits the open transaction, if any: seals checkpoint B and asks
+    /// the store to flip the epoch and discard the journal.
     ///
     /// # Errors
     ///
     /// [`OramError::Crashed`] when the `MidFlip` kill point fires inside
     /// the flip; the transaction is then durable and recovery replays it.
     pub(crate) fn txn_commit(&mut self) -> Result<(), OramError> {
-        if !self.txn_open {
+        if !self.in_txn() {
             return Ok(());
         }
         let checkpoint_b = self.seal_checkpoint();
-        let store = self
-            .store
-            .as_mut()
-            .expect("the commit protocol requires store_payloads");
-        match store.commit_txn(checkpoint_b) {
-            Ok(entries) => {
-                let epoch = store.epoch();
-                self.txn_open = false;
-                self.obs
-                    .emit(|| proram_obs::ObsEvent::JournalCommit { entries, epoch });
-                Ok(())
-            }
-            Err(_) => Err(self.note_store_crash()),
-        }
+        let store = self.store.as_mut().expect("a transaction is open");
+        let committed = store.commit_txn(checkpoint_b);
+        let epoch = store.epoch();
+        let entries = self.surface_crash(committed)?;
+        self.obs
+            .emit(|| proram_obs::ObsEvent::JournalCommit { entries, epoch });
+        Ok(())
+    }
+
+    /// Whether a commit transaction is open: the store's journal is.
+    fn in_txn(&self) -> bool {
+        self.store.as_ref().is_some_and(EncryptedStore::in_txn)
     }
 
     /// Seals the controller's volatile state (RNG, top table, stash, PLB,
@@ -813,62 +794,27 @@ impl PathOram {
     ///
     /// [`OramError::Crashed`] when the armed crossing is reached.
     pub(crate) fn crash_gate(&mut self, point: KillPoint) -> Result<(), OramError> {
-        if !self.txn_open {
-            return Ok(());
-        }
-        let fired = self.crash.as_mut().is_some_and(|arm| arm.cross(point));
-        if !fired {
-            return Ok(());
-        }
-        self.crash_stats.crashes_injected += 1;
-        self.crash_surfaced = true;
-        let crossing = self.config.crash.map_or(0, |c| c.crossing);
-        self.obs.emit(|| proram_obs::ObsEvent::CrashInject {
-            point: point.obs(),
-            crossing,
-        });
-        Err(OramError::Crashed { point })
+        let crossed = self.store.as_mut().map_or(Ok(()), |s| s.cross(point));
+        self.surface_crash(crossed)
     }
 
-    /// Surfaces a store-level kill that fired during a write the store
-    /// silently dropped (the "dead store" contract): `Ok` when the store
-    /// is alive, the typed crash otherwise.
-    ///
-    /// # Errors
-    ///
-    /// [`OramError::Crashed`] naming the store kill point that fired.
-    pub(crate) fn store_crash_check(&mut self) -> Result<(), OramError> {
-        let fired = self.store.as_ref().and_then(EncryptedStore::crash_fired);
-        match fired {
-            None => Ok(()),
-            Some(_) => Err(self.note_store_crash()),
-        }
-    }
-
-    /// Counts and emits a store-level crash exactly once, returning the
-    /// typed error for the caller to propagate.
-    fn note_store_crash(&mut self) -> OramError {
-        let point = self
-            .store
-            .as_ref()
-            .and_then(EncryptedStore::crash_fired)
-            .expect("store crash to surface");
-        if !self.crash_surfaced {
-            self.crash_surfaced = true;
+    /// Passes a store call's result through, counting and emitting the
+    /// kill when it is an injected crash. Every kill fires once, inside
+    /// the one store call that crossed it, so every crash passes here
+    /// exactly once.
+    fn surface_crash<T>(&mut self, result: Result<T, OramError>) -> Result<T, OramError> {
+        if let Err(OramError::Crashed { point }) = result {
             self.crash_stats.crashes_injected += 1;
             let crossing = self.config.crash.map_or(0, |c| c.crossing);
-            self.obs.emit(|| proram_obs::ObsEvent::CrashInject {
-                point: point.obs(),
-                crossing,
-            });
+            self.obs
+                .emit(|| proram_obs::ObsEvent::CrashInject { point, crossing });
         }
-        OramError::Crashed { point }
+        result
     }
 
     /// Recovers from a crashed or fail-stopped access: closes the store
     /// journal (rollback or replay), adopts the matching sealed
-    /// checkpoint, re-authenticates every bucket the journal touched, and
-    /// clears the transaction state.
+    /// checkpoint and re-authenticates every bucket the journal touched.
     ///
     /// Safe to call when nothing crashed — it reports
     /// [`RecoveryMode::Clean`] and changes nothing.
@@ -881,18 +827,19 @@ impl PathOram {
     pub fn recover(&mut self) -> RecoveryReport {
         // Blocks of an abandoned path read never reached the stash.
         self.scratch.clear_path();
-        let Some(store) = self.store.as_mut() else {
+        let Some(rec) = self.store.as_mut().and_then(EncryptedStore::recover_txn) else {
+            // No transaction open: volatile state is consistent and the
+            // image never changed.
             self.crash_stats.clean_recoveries += 1;
-            return self.clean_recovery();
+            return RecoveryReport {
+                mode: RecoveryMode::Clean,
+                journal_entries: 0,
+                buckets_restored: 0,
+                buckets_reverified: 0,
+                cycles: 0,
+            };
         };
-        let Some(rec) = store.recover_txn() else {
-            // Crash before the first journaled write (or no crash at
-            // all): volatile state is still the pre-access state, the
-            // image never changed. Only the transaction bookkeeping and
-            // any pipeline-stage arm state need clearing.
-            self.crash_stats.clean_recoveries += 1;
-            return self.clean_recovery();
-        };
+        let store = self.store.as_ref().expect("a transaction was open");
         let checkpoint =
             Checkpoint::unseal(&rec.checkpoint, store.mac()).expect("checkpoint failed its seal");
         // Checkpoint A is sealed at the begin epoch; checkpoint B is
@@ -952,8 +899,6 @@ impl PathOram {
             self.crash_stats.rollbacks += 1;
             RecoveryMode::RolledBack
         };
-        self.txn_open = false;
-        self.crash_surfaced = false;
         let replay = rec.replay;
         let restored = rec.restored as u64;
         let reverified = rec.touched.len();
@@ -974,20 +919,6 @@ impl PathOram {
             buckets_restored: rec.restored,
             buckets_reverified: reverified,
             cycles,
-        }
-    }
-
-    /// The nothing-pending recovery result: clears transaction state and
-    /// reports [`RecoveryMode::Clean`].
-    fn clean_recovery(&mut self) -> RecoveryReport {
-        self.txn_open = false;
-        self.crash_surfaced = false;
-        RecoveryReport {
-            mode: RecoveryMode::Clean,
-            journal_entries: 0,
-            buckets_restored: 0,
-            buckets_reverified: 0,
-            cycles: 0,
         }
     }
 
@@ -1151,15 +1082,6 @@ impl PathOram {
         });
         census
     }
-
-    /// Schedules `cycles` of work on the serialized ORAM resource starting
-    /// no earlier than `now`; returns the completion cycle.
-    fn schedule_cycles(&mut self, now: Cycle, cycles: u64) -> Cycle {
-        let start = now.max(self.busy_until);
-        let complete = start + cycles;
-        self.busy_until = complete;
-        complete
-    }
 }
 
 impl crate::backend_trait::OramBackend for PathOram {
@@ -1195,8 +1117,8 @@ impl crate::backend_trait::OramBackend for PathOram {
         PathOram::txn_commit(self)
     }
 
-    fn recover_crash(&mut self) -> Option<RecoveryReport> {
-        Some(self.recover())
+    fn recover_txn(&mut self) -> Option<RecoveryReport> {
+        self.in_txn().then(|| self.recover())
     }
 
     fn stash_contains(&self, addr: BlockAddr) -> bool {
@@ -1237,90 +1159,6 @@ impl crate::backend_trait::OramBackend for PathOram {
 
     fn backend_name(&self) -> &'static str {
         "path"
-    }
-
-    fn attach_obs(&mut self, obs: Obs) {
-        self.attach_obs_handle(obs);
-    }
-}
-
-impl MemoryBackend for PathOram {
-    fn access(&mut self, now: Cycle, req: MemRequest, _llc: &dyn CacheProbe) -> AccessOutcome {
-        let latency = match self.try_access_block(req.block, req.kind) {
-            Ok(report) => report.latency,
-            Err(OramError::Crashed { .. }) => {
-                // Simulated process death: run crash recovery, then retry
-                // the access once. A rolled-back transaction re-executes
-                // (the checkpointed RNG replays identical randomness); a
-                // replayed one already committed, so retrying would
-                // double-apply the remap.
-                let rec = self.recover();
-                let retry = if rec.mode == RecoveryMode::Replayed {
-                    0
-                } else {
-                    match self.try_access_block(req.block, req.kind) {
-                        Ok(report) => report.latency,
-                        Err(_) => {
-                            self.ctrl_faults.unrecovered += 1;
-                            self.fetch_cycles
-                        }
-                    }
-                };
-                rec.cycles + retry
-            }
-            Err(_) => {
-                // Fail-stopped access: count it and charge one path's
-                // worth of latency; the timing simulation still delivers
-                // the fill instead of aborting the run.
-                self.ctrl_faults.unrecovered += 1;
-                self.fetch_cycles
-            }
-        };
-        let complete_at = self.schedule_cycles(now, latency);
-        let fills = match req.kind {
-            AccessKind::Read => vec![Fill {
-                block: req.block,
-                prefetched: req.prefetch,
-            }],
-            AccessKind::Write => Vec::new(),
-        };
-        AccessOutcome { complete_at, fills }
-    }
-
-    fn dummy_access(&mut self, now: Cycle) -> Cycle {
-        if self.try_background_evict().is_err() {
-            self.ctrl_faults.unrecovered += 1;
-        }
-        self.schedule_cycles(now, self.fetch_cycles)
-    }
-
-    fn free_at(&self) -> Cycle {
-        self.busy_until
-    }
-
-    fn stats(&self) -> BackendStats {
-        let s = self.stats;
-        BackendStats {
-            demand_accesses: s.logical_accesses,
-            prefetch_requests: 0,
-            physical_accesses: s.total_path_accesses(),
-            dummy_accesses: s.background_evictions,
-            posmap_accesses: s.posmap_path_accesses,
-            bytes_moved: s.bytes_moved,
-            prefetch_hits: 0,
-            prefetch_misses: 0,
-            busy_cycles: s.total_path_accesses() * self.fetch_cycles,
-            data_path_cycles: s.data_path_accesses * self.fetch_cycles,
-            posmap_path_cycles: s.posmap_path_accesses * self.fetch_cycles,
-            dummy_path_cycles: s.background_evictions * self.fetch_cycles,
-            treetop_hits: s.treetop_hits,
-            treetop_bytes_saved: s.treetop_bytes_saved,
-            faults: self.fault_stats(),
-        }
-    }
-
-    fn label(&self) -> &str {
-        &self.label
     }
 
     fn attach_obs(&mut self, obs: Obs) {
@@ -1497,48 +1335,6 @@ mod tests {
             "stash drained to the resting limit after access"
         );
         oram.check_invariants();
-    }
-
-    #[test]
-    fn memory_backend_serializes_accesses() {
-        use proram_mem::NoProbe;
-        let mut oram = small();
-        let a = oram.access(0, MemRequest::read(BlockAddr(1)), &NoProbe);
-        let b = oram.access(0, MemRequest::read(BlockAddr(2)), &NoProbe);
-        assert!(b.complete_at >= a.complete_at + oram.path_cycles());
-    }
-
-    #[test]
-    fn memory_backend_write_returns_no_fills() {
-        use proram_mem::NoProbe;
-        let mut oram = small();
-        let o = oram.access(0, MemRequest::write(BlockAddr(1)), &NoProbe);
-        assert!(o.fills.is_empty());
-        let o2 = oram.access(0, MemRequest::read(BlockAddr(1)), &NoProbe);
-        assert_eq!(o2.fills, vec![Fill::demand(BlockAddr(1))]);
-    }
-
-    #[test]
-    fn backend_stats_are_consistent() {
-        use proram_mem::NoProbe;
-        let mut oram = small();
-        for i in 0..20 {
-            oram.access(0, MemRequest::read(BlockAddr(i)), &NoProbe);
-        }
-        let s = MemoryBackend::stats(&oram);
-        assert_eq!(s.demand_accesses, 20);
-        assert!(s.physical_accesses >= 20);
-        assert!(s.bytes_moved > 0);
-        assert!(s.stage_cycles_consistent(), "stage attribution incomplete");
-    }
-
-    #[test]
-    fn dummy_access_is_background_eviction() {
-        let mut oram = small();
-        let before = oram.oram_stats().background_evictions;
-        let done = oram.dummy_access(100);
-        assert!(done >= 100 + oram.path_cycles());
-        assert_eq!(oram.oram_stats().background_evictions, before + 1);
     }
 
     #[test]
@@ -2024,21 +1820,6 @@ mod fault_tests {
             other => panic!("expected StashOverflow, got {other:?}"),
         }
         assert!(oram.fault_stats().emergency_evictions > 0);
-    }
-
-    #[test]
-    fn unrecovered_faults_degrade_instead_of_panicking() {
-        use proram_mem::NoProbe;
-        // Without recovery (no injector), MemoryBackend::access absorbs a
-        // detected corruption into the unrecovered counter and still
-        // serves the fill.
-        let mut oram = PathOram::new(OramConfig::small_for_tests(256), 2);
-        oram.storage_mut()
-            .expect("payloads on")
-            .corrupt_byte(0, 30, 0x01);
-        let o = oram.access(0, MemRequest::read(BlockAddr(1)), &NoProbe);
-        assert_eq!(o.fills.len(), 1);
-        assert_eq!(MemoryBackend::stats(&oram).faults.unrecovered, 1);
     }
 }
 

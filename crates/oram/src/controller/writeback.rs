@@ -18,23 +18,28 @@ impl PathOram {
     ///
     /// # Errors
     ///
-    /// Returns [`OramError::Crashed`] when a store-level crash kill point
-    /// fired during the write-back; the encrypted image keeps its
-    /// pre-crash bytes and [`PathOram::recover`] must run before the next
-    /// access.
+    /// Returns [`OramError::Crashed`] when the `MidJournal` kill point
+    /// fired while journaling one of the path's buckets. The write-back
+    /// stops there, so nothing reaches the image after the kill, and
+    /// [`PathOram::recover`] must run before the next access.
     pub fn write_path_from_stash(&mut self, leaf: Leaf) -> Result<(), OramError> {
         write_path_with(&mut self.tree, &mut self.stash, leaf, &mut self.scratch);
-        if let Some(store) = self.store.as_mut() {
-            let resident = self.tree.resident_buckets();
-            for (level, idx) in self.tree.path_indices(leaf).enumerate() {
-                if idx >= resident {
-                    let bucket = &mut self.scratch.path[level];
-                    store.write_bucket(self.layout.phys_of(idx), bucket);
-                    bucket.drain();
-                }
-            }
-        }
-        self.store_crash_check()
+        let Some(store) = self.store.as_mut() else {
+            return Ok(());
+        };
+        let resident = self.tree.resident_buckets();
+        let written = self
+            .tree
+            .path_indices(leaf)
+            .enumerate()
+            .filter(|&(_, idx)| idx >= resident)
+            .try_for_each(|(level, idx)| {
+                let bucket = &mut self.scratch.path[level];
+                store.write_bucket(self.layout.phys_of(idx), bucket)?;
+                bucket.drain();
+                Ok(())
+            });
+        self.surface_crash(written)
     }
 
     /// Performs one background eviction (paper Section 2.4): read and

@@ -17,88 +17,11 @@
 
 use std::fmt;
 
-/// One enumerable point where a simulated process death can strike.
-///
-/// The first six variants are the entries of the staged access pipeline
-/// ([`crate::pipeline::AccessStage`]); the last two live inside the
-/// storage commit protocol, where a real crash is most damaging: while
-/// undo entries are being journaled and during the MAC-bound epoch flip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KillPoint {
-    /// Entering the position-map walk.
-    ResolvePosmap,
-    /// Entering the data-path fetch.
-    PathFetch,
-    /// Entering decrypt/authenticate.
-    DecryptVerify,
-    /// Entering the stash update.
-    StashUpdate,
-    /// Entering the path write-back.
-    WriteBack,
-    /// Entering background eviction.
-    Evict,
-    /// While appending an undo entry to the commit journal: the entry is
-    /// durable, the home bucket write it guards never happens.
-    MidJournal,
-    /// During the epoch flip: the epoch header has advanced but the
-    /// journal has not yet been discarded, so recovery must *replay*
-    /// (keep the committed image) instead of rolling back.
-    MidFlip,
-}
-
-impl KillPoint {
-    /// Every kill point, in pipeline-then-commit order.
-    pub const ALL: [KillPoint; 8] = [
-        KillPoint::ResolvePosmap,
-        KillPoint::PathFetch,
-        KillPoint::DecryptVerify,
-        KillPoint::StashUpdate,
-        KillPoint::WriteBack,
-        KillPoint::Evict,
-        KillPoint::MidJournal,
-        KillPoint::MidFlip,
-    ];
-
-    /// Stable snake_case name used in reports and JSONL traces.
-    pub fn name(self) -> &'static str {
-        match self {
-            KillPoint::ResolvePosmap => "resolve_posmap",
-            KillPoint::PathFetch => "path_fetch",
-            KillPoint::DecryptVerify => "decrypt_verify",
-            KillPoint::StashUpdate => "stash_update",
-            KillPoint::WriteBack => "write_back",
-            KillPoint::Evict => "evict",
-            KillPoint::MidJournal => "mid_journal",
-            KillPoint::MidFlip => "mid_flip",
-        }
-    }
-
-    /// The obs-crate mirror of this point.
-    pub(crate) fn obs(self) -> proram_obs::CrashPoint {
-        match self {
-            KillPoint::ResolvePosmap => proram_obs::CrashPoint::ResolvePosmap,
-            KillPoint::PathFetch => proram_obs::CrashPoint::PathFetch,
-            KillPoint::DecryptVerify => proram_obs::CrashPoint::DecryptVerify,
-            KillPoint::StashUpdate => proram_obs::CrashPoint::StashUpdate,
-            KillPoint::WriteBack => proram_obs::CrashPoint::WriteBack,
-            KillPoint::Evict => proram_obs::CrashPoint::Evict,
-            KillPoint::MidJournal => proram_obs::CrashPoint::MidJournal,
-            KillPoint::MidFlip => proram_obs::CrashPoint::MidFlip,
-        }
-    }
-
-    /// `true` for the points that fire inside the storage commit
-    /// protocol rather than at a pipeline-stage entry.
-    pub fn is_store_point(self) -> bool {
-        matches!(self, KillPoint::MidJournal | KillPoint::MidFlip)
-    }
-}
-
-impl fmt::Display for KillPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// One enumerable point where a simulated process death can strike: the
+/// six pipeline-stage entries ([`crate::pipeline::AccessStage`]) and the
+/// two points inside the storage commit protocol. Defined once in
+/// `proram-obs`, whose `crash_inject` event names it.
+pub use proram_obs::KillPoint;
 
 /// Arms deterministic crash injection on a controller
 /// ([`crate::config::OramConfig::crash`]).
@@ -256,12 +179,5 @@ mod tests {
     fn zero_crossing_rejected() {
         assert!(CrashConfig::at(KillPoint::MidFlip, 0).validate().is_err());
         assert!(CrashConfig::first(KillPoint::MidFlip).validate().is_ok());
-    }
-
-    #[test]
-    fn store_points_are_classified() {
-        assert!(KillPoint::MidJournal.is_store_point());
-        assert!(KillPoint::MidFlip.is_store_point());
-        assert!(!KillPoint::WriteBack.is_store_point());
     }
 }

@@ -22,10 +22,11 @@
 //!   per-stage cycle attribution and an optional bank-aware fetch cost
 //!   ([`config::OramConfig::pipeline`]).
 //!
-//! The high-level entry point is [`PathOram`]; it also implements
-//! [`proram_mem::MemoryBackend`] so it can serve as the `oram` baseline in
-//! the system simulator. The super-block machinery of the paper itself
-//! lives in the `proram-core` crate, built on the primitives exposed here.
+//! The high-level entry point is [`PathOram`]. The system simulator
+//! reaches it only through the super-block layer in the `proram-core`
+//! crate, built on the primitives exposed here ([`OramBackend`]): that
+//! layer is the one [`proram_mem::MemoryBackend`] over Path ORAM, and the
+//! simulator's `oram` baseline is its `SchemeConfig::baseline()`.
 //!
 //! # Examples
 //!

@@ -36,7 +36,7 @@
 use crate::addr::Leaf;
 use crate::block::{Block, Payload};
 use crate::bucket::Bucket;
-use crate::crash::{CrashArm, KillPoint};
+use crate::crash::{CrashArm, CrashConfig, KillPoint};
 use crate::crypto::{Mac, StreamCipher};
 use crate::error::OramError;
 use crate::fault::{FaultConfig, FaultyStore};
@@ -127,16 +127,13 @@ pub struct EncryptedStore {
     epoch: u64,
     /// The durable epoch header's MAC, binding [`Self::epoch`].
     epoch_tag: u64,
-    /// Undo journal of the open transaction, when crash consistency is
-    /// armed (`None` = journaling off; writes go straight home).
+    /// Undo journal of the open transaction: `Some` exactly while a
+    /// commit transaction is open (`None` = writes go straight home).
     journal: Option<TxnJournal>,
-    /// Countdown arm for the store-level kill points (`MidJournal`,
-    /// `MidFlip`).
+    /// Countdown arm for every kill point: the pipeline-stage entries
+    /// cross it through the controller, `MidJournal` and `MidFlip` from
+    /// inside the commit protocol.
     crash: Option<CrashArm>,
-    /// Once a kill point fired the store is "dead": every subsequent
-    /// write is dropped until [`Self::recover_txn`] clears the state,
-    /// exactly as if the process had exited mid-access.
-    fired: Option<KillPoint>,
     /// Reusable decrypt buffer of [`Self::read_bucket_into`].
     plain: Vec<u8>,
 }
@@ -189,7 +186,6 @@ impl EncryptedStore {
             epoch_tag: mac.tag(&[EPOCH_DOMAIN, 0], &[]),
             journal: None,
             crash: None,
-            fired: None,
             plain: Vec::new(),
         }
     }
@@ -259,17 +255,33 @@ impl EncryptedStore {
 
     // ----- crash-consistent commit protocol (DESIGN.md section 15) -----
 
-    /// Arms (or disarms) the store-level kill points. The controller owns
-    /// the pipeline-stage points; the store fires `MidJournal` and
-    /// `MidFlip` itself because only it sees those crossings.
-    pub(crate) fn arm_crash(&mut self, arm: Option<CrashArm>) {
-        self.crash = arm;
+    /// Arms crash injection. Every kill point crosses this one arm, and
+    /// only inside an open transaction.
+    pub(crate) fn arm_crash(&mut self, cfg: CrashConfig) {
+        self.crash = Some(CrashArm::new(cfg));
     }
 
-    /// The kill point that killed this store, if one fired. The store
-    /// stays dead (writes dropped) until `recover_txn`.
-    pub fn crash_fired(&self) -> Option<KillPoint> {
-        self.fired
+    /// Whether a commit transaction is open (between
+    /// [`Self::begin_txn`] and the matching commit or recovery).
+    pub(crate) fn in_txn(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// Crosses kill point `point`. Outside a transaction nothing is
+    /// armed: initialization and other non-transactional traffic never
+    /// trips a kill.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Crashed`] when this is the armed crossing; the arm
+    /// never fires again.
+    pub(crate) fn cross(&mut self, point: KillPoint) -> Result<(), OramError> {
+        let fired = self.in_txn() && self.crash.as_mut().is_some_and(|arm| arm.cross(point));
+        if fired {
+            Err(OramError::Crashed { point })
+        } else {
+            Ok(())
+        }
     }
 
     /// Trusted epoch counter (advanced by each commit flip).
@@ -326,11 +338,7 @@ impl EncryptedStore {
         let entries = journal.entries.len() as u64;
         self.epoch += 1;
         self.epoch_tag = self.mac.tag(&[EPOCH_DOMAIN, self.epoch], &[]);
-        if self.cross(KillPoint::MidFlip) {
-            return Err(OramError::Crashed {
-                point: KillPoint::MidFlip,
-            });
-        }
+        self.cross(KillPoint::MidFlip)?;
         self.journal = None;
         Ok(entries)
     }
@@ -338,12 +346,11 @@ impl EncryptedStore {
     /// Store-level recovery: compares the epoch header against the open
     /// journal's begin epoch. Not yet flipped → roll every journaled
     /// image and version counter back; flipped → home is authoritative,
-    /// discard the undo images. Either way the journal closes, the crash
-    /// state clears, and the sealed checkpoint to adopt (A on rollback, B
-    /// on replay) is handed to the controller.
+    /// discard the undo images. Either way the journal closes and the
+    /// sealed checkpoint to adopt (A on rollback, B on replay) is handed
+    /// to the controller.
     ///
-    /// Returns `None` when no transaction was open (a crash before the
-    /// first journaled write needs only checkpoint-free cleanup).
+    /// Returns `None` when no transaction was open.
     ///
     /// # Panics
     ///
@@ -351,7 +358,6 @@ impl EncryptedStore {
     /// never trust a forged epoch.
     pub(crate) fn recover_txn(&mut self) -> Option<StoreRecovery> {
         assert!(self.epoch_header_ok(), "epoch header failed authentication");
-        self.fired = None;
         let journal = self.journal.take()?;
         let entries = journal.entries.len();
         let touched: Vec<usize> = journal.entries.iter().map(|e| e.index).collect();
@@ -385,15 +391,19 @@ impl EncryptedStore {
     }
 
     /// Records a first-touch undo entry for `index` if a transaction is
-    /// open. Returns `false` when the `MidJournal` kill point fired on
-    /// this crossing — the caller must drop the write (the undo entry
-    /// itself is durable; the home write never happens).
-    fn journal_record(&mut self, index: usize) -> bool {
+    /// open.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Crashed`] when the `MidJournal` kill point fired on
+    /// this crossing: the undo entry itself is durable, the home write it
+    /// guards never happens.
+    fn journal_record(&mut self, index: usize) -> Result<(), OramError> {
         let Some(journal) = self.journal.as_mut() else {
-            return true;
+            return Ok(());
         };
         if journal.touched(index) {
-            return true;
+            return Ok(());
         }
         let bb = self.bucket_bytes();
         let image = self.backing.bytes()[index * bb..(index + 1) * bb].to_vec();
@@ -407,32 +417,23 @@ impl EncryptedStore {
                 image,
                 version,
             });
-        !self.cross(KillPoint::MidJournal)
-    }
-
-    /// Crosses a store-level kill point; `true` means it fired and the
-    /// store is now dead.
-    fn cross(&mut self, point: KillPoint) -> bool {
-        if let Some(arm) = self.crash.as_mut() {
-            if arm.cross(point) {
-                self.fired = Some(point);
-                return true;
-            }
-        }
-        false
+        self.cross(KillPoint::MidJournal)
     }
 
     /// Serializes, encrypts and stores `bucket` at `index` under a fresh
     /// nonce, advancing the bucket's trusted version counter.
     ///
+    /// # Errors
+    ///
+    /// [`OramError::Crashed`] when the `MidJournal` kill point fired while
+    /// journaling this write; nothing reached the bucket.
+    ///
     /// # Panics
     ///
     /// Panics if the bucket exceeds `z` blocks or a payload exceeds the
     /// payload area.
-    pub fn write_bucket(&mut self, index: usize, bucket: &Bucket) {
-        if self.fired.is_some() || !self.journal_record(index) {
-            return; // the "process" died; this write never reaches DRAM
-        }
+    pub fn write_bucket(&mut self, index: usize, bucket: &Bucket) -> Result<(), OramError> {
+        self.journal_record(index)?;
         assert!(bucket.len() <= self.z, "bucket exceeds Z");
         let nonce = self.next_nonce;
         self.next_nonce += 1;
@@ -461,6 +462,7 @@ impl EncryptedStore {
         }
         cipher.encrypt(nonce, plain);
         self.backing.commit_write(index);
+        Ok(())
     }
 
     /// Reads, decrypts, authenticates and deserializes bucket `index`.
@@ -771,7 +773,7 @@ mod tests {
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0xAA));
         b.push(data_block(2, 0xBB));
-        s.write_bucket(4, &b);
+        s.write_bucket(4, &b).unwrap();
         let blocks = s.try_read_bucket(4).expect("authentic bucket");
         assert_eq!(blocks.len(), 2);
         let b1 = blocks.iter().find(|b| b.addr == BlockAddr(1)).unwrap();
@@ -800,7 +802,7 @@ mod tests {
             Leaf(1),
             entries.clone().into(),
         ));
-        s.write_bucket(0, &b);
+        s.write_bucket(0, &b).unwrap();
         let blocks = s.try_read_bucket(0).expect("authentic bucket");
         assert_eq!(blocks[0].entries(), entries.as_slice());
     }
@@ -812,14 +814,14 @@ mod tests {
         blk.hit = true;
         let mut b = Bucket::new(3);
         b.push(blk);
-        s.write_bucket(1, &b);
+        s.write_bucket(1, &b).unwrap();
         assert!(s.try_read_bucket(1).expect("authentic bucket")[0].hit);
     }
 
     #[test]
     fn empty_bucket_round_trips() {
         let mut s = store();
-        s.write_bucket(2, &Bucket::new(3));
+        s.write_bucket(2, &Bucket::new(3)).unwrap();
         assert!(s.try_read_bucket(2).expect("authentic bucket").is_empty());
     }
 
@@ -834,9 +836,9 @@ mod tests {
         let mut s = store();
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0xCC));
-        s.write_bucket(3, &b);
+        s.write_bucket(3, &b).unwrap();
         let before = s.ciphertext(3).to_vec();
-        s.write_bucket(3, &b); // identical plaintext
+        s.write_bucket(3, &b).unwrap(); // identical plaintext
         let after = s.ciphertext(3).to_vec();
         assert_ne!(
             before, after,
@@ -858,8 +860,8 @@ mod tests {
         for i in 0..3 {
             full.push(data_block(i, i as u8));
         }
-        s.write_bucket(0, &full);
-        s.write_bucket(1, &Bucket::new(3));
+        s.write_bucket(0, &full).unwrap();
+        s.write_bucket(1, &Bucket::new(3)).unwrap();
         assert_eq!(s.ciphertext(0).len(), s.ciphertext(1).len());
     }
 
@@ -868,7 +870,7 @@ mod tests {
         let mut s = store();
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0x5A));
-        s.write_bucket(2, &b);
+        s.write_bucket(2, &b).unwrap();
         assert!(s.verify_all().is_ok());
         // Flip one ciphertext byte in the slot area.
         s.corrupt_byte(2, 40, 0x80);
@@ -885,7 +887,7 @@ mod tests {
         let mut s = store();
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0x5A));
-        s.write_bucket(0, &b);
+        s.write_bucket(0, &b).unwrap();
         s.corrupt_byte(0, 0, 0x01); // nonce byte
         assert!(matches!(
             s.try_read_bucket(0),
@@ -907,7 +909,7 @@ mod tests {
             let mut s = store();
             let mut b = Bucket::new(3);
             b.push(data_block(1, 0x5A));
-            s.write_bucket(2, &b);
+            s.write_bucket(2, &b).unwrap();
             s.corrupt_byte(2, offset, 0x01);
             assert_eq!(
                 s.try_read_bucket(2),
@@ -934,7 +936,7 @@ mod tests {
             let mut s = store();
             let mut b = Bucket::new(3);
             b.push(data_block(1, 0x5A));
-            s.write_bucket(2, &b);
+            s.write_bucket(2, &b).unwrap();
             s.corrupt_byte(2, offset, 0x01);
             assert_eq!(
                 s.try_read_bucket(2),
@@ -958,7 +960,7 @@ mod tests {
             Leaf(2),
             vec![PosEntry::new(Leaf(1)); 4].into(),
         ));
-        s.write_bucket(1, &b);
+        s.write_bucket(1, &b).unwrap();
         // 4 entries * 9 bytes = 36 used of 128; flip a byte well past len.
         let offset = BUCKET_HEADER_BYTES + SLOT_HEADER_BYTES + 100;
         s.corrupt_byte(1, offset, 0x40);
@@ -980,7 +982,7 @@ mod tests {
         blk.hit = true;
         let mut b = Bucket::new(3);
         b.push(blk);
-        s.write_bucket(0, &b);
+        s.write_bucket(0, &b).unwrap();
         s.corrupt_byte(0, BUCKET_HEADER_BYTES + 13, 0x02); // 1 -> 3
         assert!(s.try_read_bucket(0).is_err());
     }
@@ -995,11 +997,11 @@ mod tests {
         let mut s = store();
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0x77));
-        s.write_bucket(4, &b);
+        s.write_bucket(4, &b).unwrap();
         let stale = s.ciphertext(4).to_vec();
         let mut b2 = Bucket::new(3);
         b2.push(data_block(2, 0x88));
-        s.write_bucket(4, &b2);
+        s.write_bucket(4, &b2).unwrap();
 
         // Adversary restores the old bytes wholesale.
         for (i, byte) in stale.iter().enumerate() {
@@ -1024,7 +1026,7 @@ mod tests {
         let mut fresh = store();
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0x77));
-        fresh.write_bucket(4, &b);
+        fresh.write_bucket(4, &b).unwrap();
         assert!(fresh.try_read_bucket(4).is_ok());
     }
 
@@ -1037,8 +1039,8 @@ mod tests {
         let mut s = store();
         let mut b = Bucket::new(3);
         b.push(data_block(7, 0x22));
-        s.write_bucket(0, &b);
-        s.write_bucket(1, &Bucket::new(3));
+        s.write_bucket(0, &b).unwrap();
+        s.write_bucket(1, &Bucket::new(3)).unwrap();
         let src: Vec<u8> = s.ciphertext(0).to_vec();
         for (i, byte) in src.iter().enumerate() {
             let cur = s.ciphertext(1)[i];
@@ -1063,7 +1065,7 @@ mod tests {
         });
         let mut b = Bucket::new(3);
         b.push(data_block(1, 0x11));
-        s.write_bucket(0, &b);
+        s.write_bucket(0, &b).unwrap();
         assert_eq!(
             s.try_read_bucket(0),
             Err(OramError::Transient {
@@ -1090,14 +1092,14 @@ mod tests {
                 let idx = (round % 8) as usize;
                 let mut b = Bucket::new(3);
                 b.push(data_block(round, round as u8));
-                s.write_bucket(idx, &b);
+                s.write_bucket(idx, &b).unwrap();
                 let stats = s.fault_stats();
                 let injected = stats.total_injected();
                 let read = s.try_read_bucket(idx);
                 if injected > injected_before {
                     assert!(read.is_err(), "{} fault escaped detection", class.name());
                     // Repair so the next round starts authentic.
-                    s.write_bucket(idx, &b);
+                    s.write_bucket(idx, &b).unwrap();
                 } else {
                     assert!(read.is_ok());
                 }
@@ -1121,7 +1123,7 @@ mod tests {
                 let idx = (round % 8) as usize;
                 let mut b = Bucket::new(3);
                 b.push(data_block(round, round as u8));
-                s.write_bucket(idx, &b);
+                s.write_bucket(idx, &b).unwrap();
                 assert!(s.try_read_bucket(idx).is_ok());
                 images.push(s.ciphertext(idx).to_vec());
             }
@@ -1136,10 +1138,8 @@ mod tests {
         let mut s = EncryptedStore::new(1, 1, 16, 1);
         let mut b = Bucket::new(1);
         b.push(data_block(0, 1)); // 128-byte payload into 16-byte slot
-        s.write_bucket(0, &b);
+        s.write_bucket(0, &b).unwrap();
     }
-
-    use crate::crash::CrashConfig;
 
     fn one_block_bucket(addr: u64, fill: u8) -> Bucket {
         let mut b = Bucket::new(3);
@@ -1150,13 +1150,13 @@ mod tests {
     #[test]
     fn txn_rollback_restores_images_and_versions() {
         let mut s = store();
-        s.write_bucket(2, &one_block_bucket(10, 0xAA));
-        s.write_bucket(3, &one_block_bucket(11, 0xBB));
+        s.write_bucket(2, &one_block_bucket(10, 0xAA)).unwrap();
+        s.write_bucket(3, &one_block_bucket(11, 0xBB)).unwrap();
         let before: Vec<Vec<u8>> = (0..8).map(|i| s.ciphertext(i).to_vec()).collect();
         s.begin_txn(vec![0xCA; 4]);
-        s.write_bucket(2, &one_block_bucket(12, 0xCC));
-        s.write_bucket(2, &one_block_bucket(13, 0xDD)); // second touch: one undo entry
-        s.write_bucket(5, &one_block_bucket(14, 0xEE));
+        s.write_bucket(2, &one_block_bucket(12, 0xCC)).unwrap();
+        s.write_bucket(2, &one_block_bucket(13, 0xDD)).unwrap(); // second touch: one undo entry
+        s.write_bucket(5, &one_block_bucket(14, 0xEE)).unwrap();
         assert_ne!(s.ciphertext(2), &before[2][..]);
         let rec = s.recover_txn().expect("open transaction");
         assert!(!rec.replay);
@@ -1172,7 +1172,7 @@ mod tests {
         s.verify_all().expect("rolled-back image authenticates");
         assert_eq!(s.try_read_bucket(2).unwrap()[0].addr, BlockAddr(10));
         // The store works normally after recovery.
-        s.write_bucket(2, &one_block_bucket(20, 0x11));
+        s.write_bucket(2, &one_block_bucket(20, 0x11)).unwrap();
         assert_eq!(s.try_read_bucket(2).unwrap()[0].addr, BlockAddr(20));
     }
 
@@ -1181,7 +1181,7 @@ mod tests {
         let mut s = store();
         assert_eq!(s.epoch(), 0);
         s.begin_txn(vec![1]);
-        s.write_bucket(1, &one_block_bucket(5, 0x55));
+        s.write_bucket(1, &one_block_bucket(5, 0x55)).unwrap();
         let entries = s.commit_txn(vec![2]).expect("no crash armed");
         assert_eq!(entries, 1);
         assert_eq!(s.epoch(), 1);
@@ -1193,10 +1193,10 @@ mod tests {
     #[test]
     fn mid_flip_crash_replays_forward() {
         let mut s = store();
-        s.write_bucket(4, &one_block_bucket(30, 0x30));
+        s.write_bucket(4, &one_block_bucket(30, 0x30)).unwrap();
         s.begin_txn(vec![0xA]);
-        s.write_bucket(4, &one_block_bucket(31, 0x31));
-        s.arm_crash(Some(CrashArm::new(CrashConfig::first(KillPoint::MidFlip))));
+        s.write_bucket(4, &one_block_bucket(31, 0x31)).unwrap();
+        s.arm_crash(CrashConfig::first(KillPoint::MidFlip));
         let err = s.commit_txn(vec![0xB]).expect_err("MidFlip fires");
         assert!(matches!(
             err,
@@ -1204,13 +1204,13 @@ mod tests {
                 point: KillPoint::MidFlip
             }
         ));
-        assert_eq!(s.crash_fired(), Some(KillPoint::MidFlip));
         assert_eq!(s.epoch(), 1, "the flip itself landed");
+        assert!(s.in_txn(), "the journal outlives the crash");
         let rec = s.recover_txn().expect("journal still open");
         assert!(rec.replay, "flipped epoch means roll forward");
         assert_eq!(rec.checkpoint, vec![0xB], "checkpoint B is adopted");
         assert_eq!(rec.restored, 0);
-        assert!(s.crash_fired().is_none());
+        assert!(!s.in_txn());
         s.verify_all().expect("committed image authenticates");
         assert_eq!(s.try_read_bucket(4).unwrap()[0].addr, BlockAddr(31));
     }
@@ -1218,18 +1218,20 @@ mod tests {
     #[test]
     fn mid_journal_crash_drops_the_home_write() {
         let mut s = store();
-        s.write_bucket(6, &one_block_bucket(40, 0x40));
+        s.write_bucket(6, &one_block_bucket(40, 0x40)).unwrap();
         let before = s.ciphertext(6).to_vec();
         s.begin_txn(vec![0xA]);
-        s.arm_crash(Some(CrashArm::new(CrashConfig::first(
-            KillPoint::MidJournal,
-        ))));
-        s.write_bucket(6, &one_block_bucket(41, 0x41));
-        assert_eq!(s.crash_fired(), Some(KillPoint::MidJournal));
+        s.arm_crash(CrashConfig::first(KillPoint::MidJournal));
+        let err = s
+            .write_bucket(6, &one_block_bucket(41, 0x41))
+            .expect_err("MidJournal fires");
+        assert!(matches!(
+            err,
+            OramError::Crashed {
+                point: KillPoint::MidJournal
+            }
+        ));
         assert_eq!(s.ciphertext(6), &before[..], "home write dropped");
-        // The dead store drops every later write of the doomed run.
-        s.write_bucket(7, &one_block_bucket(42, 0x42));
-        assert!(s.try_read_bucket(7).unwrap().is_empty());
         let rec = s.recover_txn().expect("open transaction");
         assert!(!rec.replay);
         assert_eq!(rec.entries, 1, "the undo entry itself is durable");

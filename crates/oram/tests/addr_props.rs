@@ -80,7 +80,7 @@ fn encrypted_store_round_trips_arbitrary_buckets() {
             b.hit = hit;
             bucket.push(b);
         }
-        store.write_bucket(2, &bucket);
+        store.write_bucket(2, &bucket).unwrap();
         let got = store.try_read_bucket(2).expect("authentic");
         assert_eq!(got.len(), bucket.len(), "case {case}");
         for b in &got {
@@ -118,7 +118,7 @@ fn any_single_byte_corruption_of_a_written_bucket_is_detected() {
             Leaf(2),
             vec![PosEntry::new(Leaf(3)); 4].into(),
         ));
-        store.write_bucket(1, &bucket);
+        store.write_bucket(1, &bucket).unwrap();
         let bb = store.bucket_bytes();
         store.corrupt_byte(1, offset % bb, mask);
         assert!(
