@@ -196,13 +196,18 @@ impl<O: OramBackend> SuperBlockOram<O> {
     /// The super block `addr` currently belongs to, inferred — as the
     /// hardware does — from leaf-label equality in the (resolved) posmap
     /// block. Performs posmap accesses if the covering posmap block is
-    /// not on-chip; returns the group and the posmap accesses spent.
+    /// not on-chip, in a commit transaction of their own; returns the
+    /// group and the posmap accesses spent.
     ///
     /// # Errors
     ///
-    /// Propagates unrecovered faults from the posmap path reads.
+    /// Propagates faults from the posmap path reads; a backend with a
+    /// commit protocol has rolled the failure back (or recovered a
+    /// crash) already.
     pub fn current_super_block(&mut self, addr: BlockAddr) -> Result<(SuperBlock, u64), OramError> {
-        let pm = self.oram.resolve_posmap(addr)?;
+        let pm = self.txn(|s| s.oram.resolve_posmap(addr)).inspect_err(|_| {
+            self.oram.recover_txn();
+        })?;
         Ok((self.detect(addr), pm))
     }
 
@@ -503,32 +508,41 @@ impl<O: OramBackend> SuperBlockOram<O> {
         complete
     }
 
-    /// One transactional attempt at serving `req`: the whole composite
-    /// access — demand read or write-back, including every super-block
-    /// prefetch path and eviction it triggers — runs inside one backend
-    /// commit transaction (DESIGN.md section 15), so a crash anywhere
-    /// inside it rolls back to the access boundary. Any other failure
-    /// rolls the transaction back before returning, so nothing — not even
-    /// a periodic dummy access — runs inside an abandoned transaction; a
-    /// crash is left open for the caller's recovery.
-    fn attempt_txn(
+    /// Runs `op` — everything it does to the backend — inside one
+    /// backend commit transaction (DESIGN.md section 15). While the
+    /// protocol is armed the backend's volatile state may change only
+    /// inside one, so every path this layer drives goes through here. A
+    /// failure other than a crash is rolled back before returning, so
+    /// nothing runs inside an abandoned transaction; a crash is left open
+    /// for the caller's recovery.
+    fn txn<T>(
         &mut self,
-        req: MemRequest,
-        llc: &dyn CacheProbe,
-    ) -> Result<(AccessReport, Vec<Fill>), OramError> {
+        op: impl FnOnce(&mut Self) -> Result<T, OramError>,
+    ) -> Result<T, OramError> {
         self.oram.txn_begin();
-        let attempt = match req.kind {
-            AccessKind::Read => self.demand_read(req.block, llc),
-            AccessKind::Write => self.writeback(req.block),
-        }
-        .and_then(|out| self.oram.txn_commit().map(|()| out));
-        if attempt
+        let out = op(self).and_then(|out| self.oram.txn_commit().map(|()| out));
+        if out
             .as_ref()
             .is_err_and(|err| !matches!(err, OramError::Crashed { .. }))
         {
             self.oram.recover_txn();
         }
-        attempt
+        out
+    }
+
+    /// One transactional attempt at serving `req`: the whole composite
+    /// access — demand read or write-back, including every super-block
+    /// prefetch path and eviction it triggers — is one transaction, so a
+    /// crash anywhere inside it rolls back to the access boundary.
+    fn attempt_txn(
+        &mut self,
+        req: MemRequest,
+        llc: &dyn CacheProbe,
+    ) -> Result<(AccessReport, Vec<Fill>), OramError> {
+        self.txn(|s| match req.kind {
+            AccessKind::Read => s.demand_read(req.block, llc),
+            AccessKind::Write => s.writeback(req.block),
+        })
     }
 }
 
@@ -607,10 +621,20 @@ impl<O: OramBackend> MemoryBackend for SuperBlockOram<O> {
     }
 
     fn dummy_access(&mut self, now: Cycle) -> Cycle {
-        if self.oram.background_evict().is_err() {
-            self.scheme_faults.unrecovered += 1;
+        // The dummy path is a transaction of its own. A fail-stop was
+        // rolled back inside `txn`; a crash recovers here, charged like
+        // an access's, and is not retried — the dummy carries no request.
+        let mut latency = self.oram.fetch_cycles();
+        if self.txn(|s| s.oram.background_evict()).is_err() {
+            match self.oram.recover_txn() {
+                Some(rec) => {
+                    self.scheme_faults.recovered += 1;
+                    latency += rec.cycles;
+                }
+                None => self.scheme_faults.unrecovered += 1,
+            }
         }
-        self.schedule(now, self.oram.fetch_cycles())
+        self.schedule(now, latency)
     }
 
     fn free_at(&self) -> Cycle {
@@ -1028,6 +1052,94 @@ mod tests {
         assert_eq!(stats.rollbacks, 1);
         // The crash was recovered, not absorbed as a degraded fault.
         assert_eq!(MemoryBackend::stats(&oram).faults.unrecovered, 0);
+        oram.oram().audit_full();
+    }
+
+    #[test]
+    fn crashed_dummy_access_rolls_back_to_its_start() {
+        use proram_oram::{CrashConfig, KillPoint};
+        let armed = |crash| OramConfig {
+            crash: Some(crash),
+            ..OramConfig::small_for_tests(128)
+        };
+        let demand: Vec<BlockAddr> = (0..12).map(|i| BlockAddr(i * 37 % 128)).collect();
+        let run_demand = |oram: &mut SuperBlockOram| {
+            for (now, &addr) in demand.iter().enumerate() {
+                oram.access(now as u64, MemRequest::read(addr), &NoProbe);
+            }
+        };
+        // Every undo entry is one `mid_journal` crossing: count the
+        // demand accesses' entries on a twin whose arm never fires.
+        let mut twin = SuperBlockOram::new(
+            armed(CrashConfig::at(KillPoint::MidJournal, u64::MAX)),
+            SchemeConfig::baseline(),
+            7,
+        );
+        let obs = Obs::ring(1 << 12);
+        twin.attach_obs_handle(obs.clone());
+        run_demand(&mut twin);
+        let crossings: u64 = obs
+            .events()
+            .iter()
+            .map(|e| match e {
+                ObsEvent::JournalCommit { entries, .. } => *entries,
+                _ => 0,
+            })
+            .sum();
+        // The next crossing is the dummy path's first bucket write.
+        let mut oram = SuperBlockOram::new(
+            armed(CrashConfig::at(KillPoint::MidJournal, crossings + 1)),
+            SchemeConfig::baseline(),
+            7,
+        );
+        run_demand(&mut oram);
+        assert_eq!(oram.oram().crash_stats().crashes_injected, 0);
+        let before = oram.oram().state_digest();
+        let now = 100;
+        let done = oram.dummy_access(now);
+        let crash = oram.oram().crash_stats();
+        assert_eq!(crash.crashes_injected, 1, "the kill fires inside the dummy");
+        assert_eq!(crash.rollbacks, 1);
+        assert_eq!(
+            oram.oram().state_digest(),
+            before,
+            "the crashed dummy access leaves the ORAM as it found it"
+        );
+        assert!(
+            done > now + oram.oram().fetch_cycles(),
+            "recovery is charged"
+        );
+        let faults = MemoryBackend::stats(&oram).faults;
+        assert_eq!((faults.recovered, faults.unrecovered), (1, 0));
+        // Transactions resume on the recovered state.
+        run_demand(&mut oram);
+        oram.oram().audit_full();
+    }
+
+    #[test]
+    fn dummy_and_demand_accesses_interleave_under_the_protocol() {
+        use proram_oram::{CrashConfig, KillPoint};
+        // Every dummy access is a transaction of its own, so the
+        // committed checkpoint stays the live state (debug builds assert
+        // it at every begin).
+        let cfg = OramConfig {
+            crash: Some(CrashConfig::at(KillPoint::MidJournal, u64::MAX)),
+            ..OramConfig::small_for_tests(128)
+        };
+        let mut oram = SuperBlockOram::new(cfg, SchemeConfig::baseline(), 7);
+        let mut rng = Xoshiro256::seed_from(5);
+        let mut now = 0;
+        for i in 0..60 {
+            now = if i % 3 == 0 {
+                oram.dummy_access(now)
+            } else {
+                let addr = BlockAddr(rng.next_below(128));
+                oram.access(now, MemRequest::read(addr), &NoProbe)
+                    .complete_at
+            };
+        }
+        assert!(oram.oram().oram_stats().background_evictions >= 20);
+        assert_eq!(oram.oram().crash_stats().crashes_injected, 0);
         oram.oram().audit_full();
     }
 

@@ -69,7 +69,9 @@ pub trait OramBackend {
     /// accesses roll back or replay as one unit. No-op for backends
     /// without a commit protocol (the default) and for backends whose
     /// crash injection is disabled. The previous transaction must have
-    /// committed or been recovered.
+    /// committed or been recovered, and while the protocol is armed every
+    /// other state-changing call must run inside a transaction: the
+    /// backend opens the next one from the state its last commit sealed.
     fn txn_begin(&mut self) {}
 
     /// Commits the transaction opened by [`OramBackend::txn_begin`].

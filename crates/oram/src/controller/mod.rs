@@ -50,7 +50,10 @@
 //! (`MidFlip`) — and that call returns [`OramError::Crashed`]. The
 //! controller counts and emits it in one place and propagates it with
 //! `?`, so nothing is written after a kill; [`PathOram::recover`] then
-//! rolls the journal back or replays it.
+//! rolls the journal back or replays it. A transaction seals one
+//! checkpoint, at commit, straight from the live structures; the store
+//! keeps it as the committed record, which the next transaction opens
+//! with as its checkpoint A.
 
 pub(crate) mod fetch;
 pub(crate) mod posmap;
@@ -64,7 +67,7 @@ use crate::config::OramConfig;
 use crate::crash::{CrashStats, KillPoint, RecoveryMode, RecoveryReport};
 use crate::error::OramError;
 use crate::eviction::PathScratch;
-use crate::journal::Checkpoint;
+use crate::journal::{Checkpoint, CheckpointView};
 use crate::layout::StoreLayout;
 use crate::pipeline::{AccessMachine, AccessRequest, AccessStage, StageCycles};
 use crate::plb::Plb;
@@ -402,7 +405,7 @@ impl PathOram {
         };
         let mut scratch = PathScratch::new();
         scratch.fit(&tree);
-        PathOram {
+        let mut oram = PathOram {
             plb: Plb::new(config.plb_blocks),
             config,
             space,
@@ -423,7 +426,16 @@ impl PathOram {
             reads_since_scrub: 0,
             obs: Obs::disabled(),
             crash_stats: CrashStats::default(),
+        };
+        // The commit protocol starts from a committed record of the
+        // initial state, sealed at epoch 0: the first transaction's
+        // checkpoint A.
+        if oram.protocol_armed() {
+            let mut record = Vec::new();
+            oram.seal_live(0, &mut record);
+            oram.store_mut().install_checkpoint(record);
         }
+        oram
     }
 
     fn make_block(
@@ -710,29 +722,49 @@ impl PathOram {
         self.crash_stats
     }
 
-    /// Opens the commit transaction of one logical access: seals
-    /// checkpoint A (the pre-access volatile state) into the store journal
-    /// and starts first-touch undo journaling. No-op without
-    /// [`OramConfig::crash`] or [`OramConfig::fault`] — the protocol costs
-    /// nothing when no injector is armed.
+    /// Whether accesses run under the commit protocol: crash or fault
+    /// injection is configured.
+    fn protocol_armed(&self) -> bool {
+        self.config.crash.is_some() || self.config.fault.is_some()
+    }
+
+    /// The store, which the commit protocol requires.
+    fn store_mut(&mut self) -> &mut EncryptedStore {
+        self.store
+            .as_mut()
+            .expect("the commit protocol requires store_payloads")
+    }
+
+    /// Opens the commit transaction of one logical access: the store's
+    /// committed checkpoint — sealed by the previous commit, or by
+    /// [`PathOram::new`] — becomes checkpoint A as it is, so beginning
+    /// seals nothing, and first-touch undo journaling starts. No-op
+    /// without [`OramConfig::crash`] or [`OramConfig::fault`] — the
+    /// protocol costs nothing when no injector is armed.
+    ///
+    /// This relies on the volatile state changing only inside a
+    /// transaction while the protocol is armed; debug builds check that
+    /// the committed record equals a fresh seal of the live state.
     ///
     /// # Panics
     ///
     /// Panics if a transaction is still open: a crashed access must be
     /// recovered ([`PathOram::recover`]) before the next one begins.
     pub(crate) fn txn_begin(&mut self) {
-        if self.config.crash.is_none() && self.config.fault.is_none() {
+        if !self.protocol_armed() {
             return;
         }
-        let checkpoint_a = self.seal_checkpoint();
-        self.store
-            .as_mut()
-            .expect("the commit protocol requires store_payloads")
-            .begin_txn(checkpoint_a);
+        debug_assert!(
+            self.committed_checkpoint_is_live(),
+            "volatile state changed outside a commit transaction"
+        );
+        self.store_mut().begin_txn();
     }
 
-    /// Commits the open transaction, if any: seals checkpoint B and asks
-    /// the store to flip the epoch and discard the journal.
+    /// Commits the open transaction, if any: seals checkpoint B from the
+    /// live state at the epoch it commits into, into the buffer of the
+    /// record it will replace, and asks the store to flip the epoch and
+    /// make B the committed record.
     ///
     /// # Errors
     ///
@@ -742,9 +774,12 @@ impl PathOram {
         if !self.in_txn() {
             return Ok(());
         }
-        let checkpoint_b = self.seal_checkpoint();
-        let store = self.store.as_mut().expect("a transaction is open");
-        let committed = store.commit_txn(checkpoint_b);
+        let store = self.store_mut();
+        let mut record = store.take_checkpoint_buffer();
+        let epoch = store.epoch() + 1;
+        self.seal_live(epoch, &mut record);
+        let store = self.store_mut();
+        let committed = store.commit_txn(record);
         let epoch = store.epoch();
         let entries = self.surface_crash(committed)?;
         self.obs
@@ -758,32 +793,43 @@ impl PathOram {
     }
 
     /// Seals the controller's volatile state (RNG, top table, stash, PLB,
-    /// treetop buckets) into one MAC-bound checkpoint record.
+    /// treetop buckets), current in `epoch`, into one MAC-bound
+    /// checkpoint record in `out`, straight from the live structures.
     ///
     /// The treetop is volatile on-chip SRAM with no ciphertext image, so
     /// its buckets ride in the checkpoint: recovery adopts checkpoint A's
     /// pre-access treetop after a rollback and checkpoint B's post-access
     /// treetop after a replay — exactly like the stash.
-    fn seal_checkpoint(&self) -> Vec<u8> {
+    fn seal_live(&self, epoch: u64, out: &mut Vec<u8>) {
         let store = self
             .store
             .as_ref()
             .expect("the commit protocol requires store_payloads");
-        let mut stash: Vec<Block> = self.stash.iter().cloned().collect();
         // The stash map iterates in hash order; the checkpoint is a
         // canonical record, so impose address order.
+        let mut stash: Vec<&Block> = self.stash.iter().collect();
         stash.sort_unstable_by_key(|b| b.addr.0);
-        Checkpoint {
-            epoch: store.epoch(),
+        CheckpointView {
+            epoch,
             rng: self.rng.state(),
-            top: self.top.clone(),
-            stash,
-            plb: self.plb.iter().cloned().collect(),
-            treetop: (0..self.layout.treetop_buckets())
-                .map(|idx| self.tree.bucket(idx).iter().cloned().collect())
-                .collect(),
+            top: &self.top,
+            stash: stash.into_iter(),
+            plb: self.plb.iter(),
+            treetop: (0..self.layout.treetop_buckets()).map(|idx| self.tree.bucket(idx).as_slice()),
         }
-        .seal(store.mac())
+        .seal_into(out, store.mac());
+    }
+
+    /// Whether the store's committed checkpoint is exactly a fresh seal
+    /// of the live state at the current epoch.
+    fn committed_checkpoint_is_live(&self) -> bool {
+        let store = self
+            .store
+            .as_ref()
+            .expect("the commit protocol requires store_payloads");
+        let mut fresh = Vec::new();
+        self.seal_live(store.epoch(), &mut fresh);
+        fresh == store.committed_checkpoint()
     }
 
     /// Crosses a pipeline-stage kill point. Fires only inside an open
@@ -839,19 +885,15 @@ impl PathOram {
                 cycles: 0,
             };
         };
+        // The store kept the record to adopt as its committed one: A after
+        // a rollback, B after a replay. Each is sealed at the epoch in
+        // which it is current, so either way it must be the store's.
         let store = self.store.as_ref().expect("a transaction was open");
-        let checkpoint =
-            Checkpoint::unseal(&rec.checkpoint, store.mac()).expect("checkpoint failed its seal");
-        // Checkpoint A is sealed at the begin epoch; checkpoint B is
-        // sealed during commit just *before* the flip. Either way the
-        // record must be from this transaction's begin epoch.
-        let begin_epoch = if rec.replay {
-            store.epoch() - 1
-        } else {
-            store.epoch()
-        };
+        let checkpoint = Checkpoint::unseal(store.committed_checkpoint(), store.mac())
+            .expect("checkpoint failed its seal");
         assert_eq!(
-            checkpoint.epoch, begin_epoch,
+            checkpoint.epoch,
+            store.epoch(),
             "adopted checkpoint is from another epoch"
         );
         // The store is the durable medium and the only copy of the
@@ -1860,5 +1902,106 @@ mod init_group_tests {
                 .unwrap();
         }
         oram.check_invariants();
+    }
+}
+
+#[cfg(test)]
+mod commit_tests {
+    use super::*;
+    use crate::crash::CrashConfig;
+
+    /// A configuration with the commit protocol armed by a kill point
+    /// that never fires.
+    fn armed(cfg: OramConfig) -> OramConfig {
+        OramConfig {
+            crash: Some(CrashConfig::at(KillPoint::WriteBack, u64::MAX)),
+            ..cfg
+        }
+    }
+
+    #[test]
+    fn live_seal_matches_the_sealed_clone() {
+        let cfg = OramConfig {
+            treetop_levels: 2,
+            stash_limit: 8,
+            ..OramConfig::small_for_tests(256)
+        };
+        let mut oram = PathOram::new(cfg, 5);
+        let mut rng = Xoshiro256::seed_from(9);
+        let mut accesses = 0;
+        while oram.stash.is_empty() || oram.plb.len() < oram.plb.capacity() {
+            let addr = BlockAddr(rng.next_below(256));
+            oram.try_access_block(addr, AccessKind::Read).unwrap();
+            accesses += 1;
+            assert!(accesses < 10_000, "stash never held a block at rest");
+        }
+        let treetop = oram.layout.treetop_buckets();
+        assert!((0..treetop).any(|idx| !oram.tree.bucket(idx).is_empty()));
+        let mut stash: Vec<Block> = oram.stash.iter().cloned().collect();
+        stash.sort_unstable_by_key(|b| b.addr.0);
+        let cloned = Checkpoint {
+            epoch: 7,
+            rng: oram.rng.state(),
+            top: oram.top.clone(),
+            stash,
+            plb: oram.plb.iter().cloned().collect(),
+            treetop: (0..treetop)
+                .map(|idx| oram.tree.bucket(idx).iter().cloned().collect())
+                .collect(),
+        };
+        let mac = *oram.store.as_ref().expect("payloads on").mac();
+        // A recycled buffer: the encoder replaces whatever it held.
+        let mut live = vec![0xFF; 40_000];
+        oram.seal_live(7, &mut live);
+        assert_eq!(live, cloned.seal(&mac));
+        assert_eq!(Checkpoint::unseal(&live, &mac), Some(cloned));
+    }
+
+    #[test]
+    fn commit_makes_checkpoint_b_the_next_checkpoint_a() {
+        let mut oram = PathOram::new(armed(OramConfig::small_for_tests(256)), 3);
+        let mac = *oram.store.as_ref().expect("payloads on").mac();
+        for a in [3, 200, 3, 77] {
+            oram.try_access_block(BlockAddr(a), AccessKind::Write)
+                .unwrap();
+            let store = oram.store.as_ref().expect("payloads on");
+            let record = store.committed_checkpoint();
+            let cp = Checkpoint::unseal(record, &mac).expect("committed record verifies");
+            assert_eq!(
+                cp.epoch,
+                store.epoch(),
+                "bound to the epoch it is current in"
+            );
+            let mut fresh = Vec::new();
+            oram.seal_live(store.epoch(), &mut fresh);
+            assert_eq!(record, &fresh[..], "the committed record is the live state");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "adopted checkpoint is from another epoch")]
+    fn stale_committed_checkpoint_is_refused() {
+        let mut oram = PathOram::new(armed(OramConfig::small_for_tests(256)), 42);
+        // The initial record, authentic but sealed at epoch 0.
+        let stale = oram
+            .store
+            .as_ref()
+            .expect("payloads on")
+            .committed_checkpoint()
+            .to_vec();
+        oram.try_access_block(BlockAddr(3), AccessKind::Read)
+            .unwrap();
+        oram.txn_begin();
+        oram.store_mut().journal_mut().checkpoint_a = stale;
+        oram.recover();
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "volatile state changed outside a commit transaction")]
+    fn state_change_outside_a_transaction_is_caught() {
+        let mut oram = PathOram::new(armed(OramConfig::small_for_tests(256)), 42);
+        oram.try_background_evict().unwrap();
+        let _ = oram.try_access_block(BlockAddr(3), AccessKind::Read);
     }
 }

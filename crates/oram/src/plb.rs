@@ -127,7 +127,7 @@ impl Plb {
 
     /// Iterates resident blocks in recency order, MRU first (used to
     /// serialize the PLB into a crash-consistency checkpoint).
-    pub fn iter(&self) -> impl Iterator<Item = &Block> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &Block> {
         self.blocks.iter()
     }
 

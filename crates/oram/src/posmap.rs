@@ -40,6 +40,27 @@ impl PosEntry {
             prefetch: false,
         }
     }
+
+    /// Writes the entry's little-endian encoding into the first
+    /// [`crate::storage::ENTRY_BYTES`] bytes of `dst` — the one format of
+    /// bucket slots and checkpoint records.
+    pub(crate) fn encode(&self, dst: &mut [u8]) {
+        dst[0..4].copy_from_slice(&self.leaf.0.to_le_bytes());
+        dst[4..6].copy_from_slice(&self.merge.to_le_bytes());
+        dst[6..8].copy_from_slice(&self.brk.to_le_bytes());
+        dst[8] = u8::from(self.prefetch);
+    }
+
+    /// Decodes an entry written by [`Self::encode`].
+    pub(crate) fn decode(src: &[u8]) -> PosEntry {
+        let word = |r: std::ops::Range<usize>| -> [u8; 2] { src[r].try_into().expect("2 bytes") };
+        PosEntry {
+            leaf: Leaf(u32::from_le_bytes(src[0..4].try_into().expect("4 bytes"))),
+            merge: i16::from_le_bytes(word(4..6)),
+            brk: i16::from_le_bytes(word(6..8)),
+            prefetch: src[8] != 0,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -40,7 +40,7 @@ use crate::crash::{CrashArm, CrashConfig, KillPoint};
 use crate::crypto::{Mac, StreamCipher};
 use crate::error::OramError;
 use crate::fault::{FaultConfig, FaultyStore};
-use crate::journal::{TxnJournal, UndoEntry, EPOCH_DOMAIN};
+use crate::journal::{TxnJournal, EPOCH_DOMAIN};
 use crate::posmap::PosEntry;
 use proram_mem::{BlockAddr, FaultStats};
 
@@ -127,9 +127,10 @@ pub struct EncryptedStore {
     epoch: u64,
     /// The durable epoch header's MAC, binding [`Self::epoch`].
     epoch_tag: u64,
-    /// Undo journal of the open transaction: `Some` exactly while a
-    /// commit transaction is open (`None` = writes go straight home).
-    journal: Option<TxnJournal>,
+    /// The durable journal area: the last committed checkpoint, and the
+    /// undo entries and checkpoints of the open transaction (none open =
+    /// writes go straight home).
+    journal: TxnJournal,
     /// Countdown arm for every kill point: the pipeline-stage entries
     /// cross it through the controller, `MidJournal` and `MidFlip` from
     /// inside the commit protocol.
@@ -139,16 +140,16 @@ pub struct EncryptedStore {
 }
 
 /// What [`EncryptedStore::recover_txn`] did with the open journal; the
-/// controller finishes recovery from this (checkpoint adoption, tree
-/// rebuild, re-verification).
+/// controller finishes recovery from this and from the checkpoint the
+/// store now holds as committed ([`EncryptedStore::committed_checkpoint`]):
+/// checkpoint adoption and re-verification.
 #[derive(Debug)]
 pub(crate) struct StoreRecovery {
     /// `true` = the epoch had already flipped: home images are
-    /// authoritative and checkpoint B is adopted. `false` = rollback:
-    /// journaled images were restored and checkpoint A is adopted.
+    /// authoritative and checkpoint B is now the committed record.
+    /// `false` = rollback: journaled images were restored and checkpoint
+    /// A stays the committed record.
     pub replay: bool,
-    /// The sealed checkpoint to adopt (A on rollback, B on replay).
-    pub checkpoint: Vec<u8>,
     /// Bucket indices touched by the transaction's journal, in first-write
     /// order — the set recovery re-authenticates.
     pub touched: Vec<usize>,
@@ -184,7 +185,7 @@ impl EncryptedStore {
             num_buckets,
             epoch: 0,
             epoch_tag: mac.tag(&[EPOCH_DOMAIN, 0], &[]),
-            journal: None,
+            journal: TxnJournal::default(),
             crash: None,
             plain: Vec::new(),
         }
@@ -264,7 +265,7 @@ impl EncryptedStore {
     /// Whether a commit transaction is open (between
     /// [`Self::begin_txn`] and the matching commit or recovery).
     pub(crate) fn in_txn(&self) -> bool {
-        self.journal.is_some()
+        self.journal.is_open()
     }
 
     /// Crosses kill point `point`. Outside a transaction nothing is
@@ -300,26 +301,52 @@ impl EncryptedStore {
         &self.mac
     }
 
-    /// Opens a transaction: subsequent bucket writes journal a first-touch
-    /// undo entry (old image + old version) before touching home.
+    /// Installs the first committed checkpoint, sealed at epoch 0 before
+    /// any transaction runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a transaction is open.
+    pub(crate) fn install_checkpoint(&mut self, record: Vec<u8>) {
+        self.journal.install(record);
+    }
+
+    /// The last committed checkpoint record: sealed at the current epoch
+    /// and describing the controller's state between transactions.
+    /// After [`Self::recover_txn`] it is the record to adopt.
+    pub(crate) fn committed_checkpoint(&self) -> &[u8] {
+        self.journal.committed()
+    }
+
+    /// A buffer to seal the next checkpoint B into: the one the record
+    /// last replaced left behind. Its contents are garbage.
+    pub(crate) fn take_checkpoint_buffer(&mut self) -> Vec<u8> {
+        self.journal.take_spare()
+    }
+
+    /// The journal area, for tests that tamper with it.
+    #[cfg(test)]
+    pub(crate) fn journal_mut(&mut self) -> &mut TxnJournal {
+        &mut self.journal
+    }
+
+    /// Opens a transaction: the committed checkpoint becomes checkpoint
+    /// A as it is (no seal, no copy), and subsequent bucket writes
+    /// journal a first-touch undo entry (old image + old version) before
+    /// touching home.
     ///
     /// # Panics
     ///
     /// Panics if a transaction is already open — the controller must
     /// commit or recover first.
-    pub(crate) fn begin_txn(&mut self, checkpoint_a: Vec<u8>) {
-        assert!(self.journal.is_none(), "transaction already open");
-        self.journal = Some(TxnJournal {
-            begin_epoch: self.epoch,
-            entries: Vec::new(),
-            checkpoint_a,
-            checkpoint_b: None,
-        });
+    pub(crate) fn begin_txn(&mut self) {
+        self.journal.begin(self.epoch);
     }
 
-    /// Commits the open transaction: stores checkpoint B, flips the
-    /// MAC-bound epoch header, and discards the journal. After the flip
-    /// the transaction is durable — a crash between flip and discard is
+    /// Commits the open transaction: stores checkpoint B (sealed at the
+    /// epoch it commits into), flips the MAC-bound epoch header, and
+    /// closes the journal with B as the committed record. After the flip
+    /// the transaction is durable — a crash between flip and close is
     /// replayed forward by recovery, not rolled back.
     ///
     /// Returns the journal's entry count (for observability).
@@ -327,28 +354,28 @@ impl EncryptedStore {
     /// # Errors
     ///
     /// [`OramError::Crashed`] if the `MidFlip` kill point fires between
-    /// the flip and the journal discard.
+    /// the flip and the journal close.
     ///
     /// # Panics
     ///
     /// Panics if no transaction is open.
     pub(crate) fn commit_txn(&mut self, checkpoint_b: Vec<u8>) -> Result<u64, OramError> {
-        let journal = self.journal.as_mut().expect("commit without begin_txn");
-        journal.checkpoint_b = Some(checkpoint_b);
-        let entries = journal.entries.len() as u64;
+        assert!(self.journal.is_open(), "commit without begin_txn");
+        self.journal.checkpoint_b = Some(checkpoint_b);
+        let entries = self.journal.undo_entries().len() as u64;
         self.epoch += 1;
         self.epoch_tag = self.mac.tag(&[EPOCH_DOMAIN, self.epoch], &[]);
         self.cross(KillPoint::MidFlip)?;
-        self.journal = None;
+        self.journal.close(true);
         Ok(entries)
     }
 
     /// Store-level recovery: compares the epoch header against the open
     /// journal's begin epoch. Not yet flipped → roll every journaled
-    /// image and version counter back; flipped → home is authoritative,
-    /// discard the undo images. Either way the journal closes and the
-    /// sealed checkpoint to adopt (A on rollback, B on replay) is handed
-    /// to the controller.
+    /// image and version counter back, checkpoint A stays committed;
+    /// flipped → home is authoritative, checkpoint B becomes committed.
+    /// Either way the journal closes and the committed checkpoint
+    /// ([`Self::committed_checkpoint`]) is the one the controller adopts.
     ///
     /// Returns `None` when no transaction was open.
     ///
@@ -358,36 +385,29 @@ impl EncryptedStore {
     /// never trust a forged epoch.
     pub(crate) fn recover_txn(&mut self) -> Option<StoreRecovery> {
         assert!(self.epoch_header_ok(), "epoch header failed authentication");
-        let journal = self.journal.take()?;
-        let entries = journal.entries.len();
-        let touched: Vec<usize> = journal.entries.iter().map(|e| e.index).collect();
-        if self.epoch == journal.begin_epoch {
+        if !self.journal.is_open() {
+            return None;
+        }
+        let undo = self.journal.undo_entries();
+        let entries = undo.len();
+        let touched: Vec<usize> = undo.iter().map(|e| e.index).collect();
+        let replay = self.epoch != self.journal.begin_epoch;
+        if !replay {
             // Rollback: restore the pre-transaction image and trusted
             // version of every touched bucket, newest-first so a bucket
             // journaled once is restored exactly once either way.
-            for e in journal.entries.iter().rev() {
+            for e in undo.iter().rev() {
                 self.backing.restore(e.index, &e.image);
                 self.versions[e.index] = e.version;
             }
-            Some(StoreRecovery {
-                replay: false,
-                checkpoint: journal.checkpoint_a,
-                touched,
-                entries,
-                restored: entries,
-            })
-        } else {
-            let checkpoint = journal
-                .checkpoint_b
-                .expect("a flipped transaction always carries checkpoint B");
-            Some(StoreRecovery {
-                replay: true,
-                checkpoint,
-                touched,
-                entries,
-                restored: 0,
-            })
         }
+        self.journal.close(replay);
+        Some(StoreRecovery {
+            replay,
+            touched,
+            entries,
+            restored: if replay { 0 } else { entries },
+        })
     }
 
     /// Records a first-touch undo entry for `index` if a transaction is
@@ -399,24 +419,12 @@ impl EncryptedStore {
     /// this crossing: the undo entry itself is durable, the home write it
     /// guards never happens.
     fn journal_record(&mut self, index: usize) -> Result<(), OramError> {
-        let Some(journal) = self.journal.as_mut() else {
-            return Ok(());
-        };
-        if journal.touched(index) {
+        if !self.journal.is_open() || self.journal.touched(index) {
             return Ok(());
         }
         let bb = self.bucket_bytes();
-        let image = self.backing.bytes()[index * bb..(index + 1) * bb].to_vec();
-        let version = self.versions[index];
-        self.journal
-            .as_mut()
-            .expect("journal open")
-            .entries
-            .push(UndoEntry {
-                index,
-                image,
-                version,
-            });
+        let image = &self.backing.bytes()[index * bb..(index + 1) * bb];
+        self.journal.record(index, image, self.versions[index]);
         self.cross(KillPoint::MidJournal)
     }
 
@@ -645,10 +653,7 @@ impl EncryptedStore {
                     "payload {len} exceeds slot {payload_bytes}"
                 );
                 for (e, out) in entries.iter().zip(body_area.chunks_exact_mut(ENTRY_BYTES)) {
-                    out[0..4].copy_from_slice(&e.leaf.0.to_le_bytes());
-                    out[4..6].copy_from_slice(&e.merge.to_le_bytes());
-                    out[6..8].copy_from_slice(&e.brk.to_le_bytes());
-                    out[8] = u8::from(e.prefetch);
+                    e.encode(out);
                 }
                 (2, len)
             }
@@ -732,15 +737,10 @@ impl EncryptedStore {
             0 => Payload::Opaque,
             1 => Payload::Data(body.to_vec().into()),
             2 => {
-                let mut entries = Vec::with_capacity(len / ENTRY_BYTES);
-                for chunk in body.chunks_exact(ENTRY_BYTES) {
-                    entries.push(PosEntry {
-                        leaf: Leaf(u32::from_le_bytes(chunk[0..4].try_into().expect("eleaf"))),
-                        merge: i16::from_le_bytes(chunk[4..6].try_into().expect("merge")),
-                        brk: i16::from_le_bytes(chunk[6..8].try_into().expect("brk")),
-                        prefetch: chunk[8] != 0,
-                    });
-                }
+                let entries: Vec<PosEntry> = body
+                    .chunks_exact(ENTRY_BYTES)
+                    .map(PosEntry::decode)
+                    .collect();
                 Payload::PosMap(entries.into())
             }
             _ => return Err(()), // unknown payload kind: tampering
@@ -1153,14 +1153,19 @@ mod tests {
         s.write_bucket(2, &one_block_bucket(10, 0xAA)).unwrap();
         s.write_bucket(3, &one_block_bucket(11, 0xBB)).unwrap();
         let before: Vec<Vec<u8>> = (0..8).map(|i| s.ciphertext(i).to_vec()).collect();
-        s.begin_txn(vec![0xCA; 4]);
+        s.install_checkpoint(vec![0xCA; 4]);
+        s.begin_txn();
         s.write_bucket(2, &one_block_bucket(12, 0xCC)).unwrap();
         s.write_bucket(2, &one_block_bucket(13, 0xDD)).unwrap(); // second touch: one undo entry
         s.write_bucket(5, &one_block_bucket(14, 0xEE)).unwrap();
         assert_ne!(s.ciphertext(2), &before[2][..]);
         let rec = s.recover_txn().expect("open transaction");
         assert!(!rec.replay);
-        assert_eq!(rec.checkpoint, vec![0xCA; 4]);
+        assert_eq!(
+            s.committed_checkpoint(),
+            &[0xCA; 4],
+            "checkpoint A stays committed"
+        );
         assert_eq!(rec.entries, 2, "first-touch journaling");
         assert_eq!(rec.restored, 2);
         assert_eq!(rec.touched, vec![2, 5]);
@@ -1180,10 +1185,17 @@ mod tests {
     fn txn_commit_discards_journal_and_flips_epoch() {
         let mut s = store();
         assert_eq!(s.epoch(), 0);
-        s.begin_txn(vec![1]);
+        s.install_checkpoint(vec![1]);
+        s.begin_txn();
         s.write_bucket(1, &one_block_bucket(5, 0x55)).unwrap();
         let entries = s.commit_txn(vec![2]).expect("no crash armed");
         assert_eq!(entries, 1);
+        assert_eq!(s.committed_checkpoint(), &[2], "B is the committed record");
+        assert_eq!(
+            s.take_checkpoint_buffer(),
+            vec![1],
+            "A's buffer is recycled"
+        );
         assert_eq!(s.epoch(), 1);
         assert!(s.epoch_header_ok());
         assert!(s.recover_txn().is_none(), "journal discarded at commit");
@@ -1194,7 +1206,8 @@ mod tests {
     fn mid_flip_crash_replays_forward() {
         let mut s = store();
         s.write_bucket(4, &one_block_bucket(30, 0x30)).unwrap();
-        s.begin_txn(vec![0xA]);
+        s.install_checkpoint(vec![0xA]);
+        s.begin_txn();
         s.write_bucket(4, &one_block_bucket(31, 0x31)).unwrap();
         s.arm_crash(CrashConfig::first(KillPoint::MidFlip));
         let err = s.commit_txn(vec![0xB]).expect_err("MidFlip fires");
@@ -1208,7 +1221,7 @@ mod tests {
         assert!(s.in_txn(), "the journal outlives the crash");
         let rec = s.recover_txn().expect("journal still open");
         assert!(rec.replay, "flipped epoch means roll forward");
-        assert_eq!(rec.checkpoint, vec![0xB], "checkpoint B is adopted");
+        assert_eq!(s.committed_checkpoint(), &[0xB], "checkpoint B is adopted");
         assert_eq!(rec.restored, 0);
         assert!(!s.in_txn());
         s.verify_all().expect("committed image authenticates");
@@ -1220,7 +1233,7 @@ mod tests {
         let mut s = store();
         s.write_bucket(6, &one_block_bucket(40, 0x40)).unwrap();
         let before = s.ciphertext(6).to_vec();
-        s.begin_txn(vec![0xA]);
+        s.begin_txn();
         s.arm_crash(CrashConfig::first(KillPoint::MidJournal));
         let err = s
             .write_bucket(6, &one_block_bucket(41, 0x41))
